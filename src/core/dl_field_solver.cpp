@@ -72,7 +72,27 @@ DlFieldSolver& DlFieldSolver::operator=(DlFieldSolver&& other) noexcept {
 }
 
 std::vector<double> DlFieldSolver::solve(const pic::Species& electrons) {
-  return solve_histogram(binner_.bin(electrons));
+  std::vector<double> E;
+  solve(electrons, E);
+  return E;
+}
+
+void DlFieldSolver::solve(const pic::Species& electrons, std::vector<double>& E) {
+  nn::Tensor& x = staged_input();
+  binner_.bin(electrons, x.vec());
+  const nn::Tensor& y = infer(x);
+  E.assign(y.data(), y.data() + y.size());
+}
+
+nn::Tensor& DlFieldSolver::staged_input() {
+  // One staging buffer for every per-step call, so repeated solves reuse
+  // one buffer set end to end.
+  return ctx_.workspace().tensor(this, 0, {1, binner_.size()});
+}
+
+const nn::Tensor& DlFieldSolver::infer(nn::Tensor& x) {
+  normalizer_.apply(x.vec());
+  return model_.predict(ctx_, x);
 }
 
 serve::InferenceServer& DlFieldSolver::start_serving(const serve::ServerConfig& config) {
@@ -123,14 +143,9 @@ std::future<std::vector<double>> DlFieldSolver::solve_async(
 std::vector<double> DlFieldSolver::solve_histogram(const std::vector<double>& histogram) {
   if (histogram.size() != binner_.size())
     throw std::invalid_argument("DlFieldSolver: histogram size mismatch");
-  const size_t n = histogram.size();
-  // Stage the normalized histogram in the solver's workspace so repeated
-  // per-step calls reuse one buffer set end to end.
-  nn::Tensor& x = ctx_.workspace().tensor(this, 0, {1, n});
+  nn::Tensor& x = staged_input();
   std::copy(histogram.begin(), histogram.end(), x.data());
-  normalizer_.apply(x.vec());
-  const nn::Tensor& y = model_.predict(ctx_, x);
-  return y.vec();
+  return infer(x).vec();
 }
 
 void DlFieldSolver::save(const std::string& path) const {

@@ -44,6 +44,11 @@ class DlFieldSolver {
   /// The output size equals the model's output dimension (grid cells).
   [[nodiscard]] std::vector<double> solve(const pic::Species& electrons);
 
+  /// In-place solve(): bins straight into the solver's workspace and copies
+  /// the prediction into `E`, so a steady-state call allocates nothing once
+  /// `E` has the output size.
+  void solve(const pic::Species& electrons, std::vector<double>& E);
+
   /// Predicts E from an already-binned raw (unnormalized) histogram.
   /// Inference runs on the solver's own execution context, so the per-step
   /// hot path of a DL-PIC run reuses one workspace instead of allocating
@@ -124,6 +129,11 @@ class DlFieldSolver {
   /// Terminates with a diagnostic when this solver is registered on a
   /// shared server (the move guard; see the move ctor docs).
   void ensure_unregistered(const char* what) const noexcept;
+
+  /// The histogram staging tensor in the solver's workspace.
+  nn::Tensor& staged_input();
+  /// Normalizes the histogram staged in `x` in place and runs the forward.
+  const nn::Tensor& infer(nn::Tensor& x);
 
   nn::Sequential model_;
   data::MinMaxNormalizer normalizer_;

@@ -50,9 +50,9 @@ class Client {
 
   /// Sends one request and returns a future for its response. `deadline_us`
   /// is the relative deadline in microseconds granted from server receipt
-  /// (< 0 = none). The future resolves with the decoded NetResponse (any
-  /// status), or throws SocketError when the connection died first. Throws
-  /// SocketError immediately when already disconnected.
+  /// (< 0 or > kMaxDeadlineUs = none). The future resolves with the decoded
+  /// NetResponse (any status), or throws SocketError when the connection
+  /// died first. Throws SocketError immediately when already disconnected.
   std::future<NetResponse> submit_async(
       const std::string& model, std::vector<double> input,
       uint8_t priority = 1, int64_t deadline_us = -1);

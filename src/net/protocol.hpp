@@ -15,7 +15,8 @@
 ///
 /// Request body:  u8 type (kRequestMessage), u64 request_id, string model
 /// name, u8 priority lane, i64 deadline_us (relative microseconds from
-/// server receipt, < 0 = no deadline), f64 vector payload.
+/// server receipt; < 0 or > kMaxDeadlineUs = no deadline), f64 vector
+/// payload.
 /// Response body: u8 type (kResponseMessage), u64 request_id, u8 status,
 /// then — kOk: f64 vector result; otherwise: string error message.
 ///
@@ -150,12 +151,18 @@ void encode_frame_header(const FrameHeader& header, uint8_t out[kFrameHeaderByte
 FrameHeader decode_frame_header(const uint8_t data[kFrameHeaderBytes],
                                 const FrameLimits& limits);
 
+/// Longest relative deadline a request can carry: one day. Larger values,
+/// like negative ones, mean no deadline, so the server's receipt time plus
+/// the deadline cannot overflow the clock.
+inline constexpr int64_t kMaxDeadlineUs = int64_t{86'400} * 1'000'000;
+
 /// One decoded inference request as it travels the wire.
 struct NetRequest {
   uint64_t request_id = 0;
   std::string model;            ///< registered bundle name
   uint8_t priority = 1;         ///< serve::Priority lane index (0/1)
-  int64_t deadline_us = -1;     ///< relative expiry from receipt; < 0 = none
+  int64_t deadline_us = -1;     ///< relative expiry from receipt; < 0 or
+                                ///< > kMaxDeadlineUs = none
   std::vector<double> payload;  ///< flattened input sample
 };
 

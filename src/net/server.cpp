@@ -169,7 +169,7 @@ void NetServer::reader_loop(Connection& connection) {
     requests_decoded_.fetch_add(1, std::memory_order_relaxed);
 
     const auto deadline =
-        request.deadline_us < 0
+        request.deadline_us < 0 || request.deadline_us > kMaxDeadlineUs
             ? serve::kNoDeadline
             : std::chrono::steady_clock::now() +
                   std::chrono::microseconds(request.deadline_us);

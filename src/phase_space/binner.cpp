@@ -1,5 +1,6 @@
 #include "phase_space/binner.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -20,12 +21,24 @@ std::vector<double> PhaseSpaceBinner::bin(const pic::Species& species) const {
   return bin(species.x(), species.v());
 }
 
+void PhaseSpaceBinner::bin(const pic::Species& species, std::span<double> out) const {
+  accumulate(species.x(), species.v(), out);
+}
+
 std::vector<double> PhaseSpaceBinner::bin(const std::vector<double>& x,
                                           const std::vector<double>& v) const {
+  std::vector<double> hist(size());
+  accumulate(x, v, hist);
+  return hist;
+}
+
+void PhaseSpaceBinner::accumulate(std::span<const double> x, std::span<const double> v,
+                                  std::span<double> hist) const {
   if (x.size() != v.size()) throw std::invalid_argument("PhaseSpaceBinner: x/v size mismatch");
+  if (hist.size() != size()) throw std::invalid_argument("PhaseSpaceBinner: output size mismatch");
   const size_t nx = config_.nx;
   const size_t nv = config_.nv;
-  std::vector<double> hist(nx * nv, 0.0);
+  std::fill(hist.begin(), hist.end(), 0.0);
   clamped_ = 0;
 
   const double inv_dx = 1.0 / dx_bin_;
@@ -75,7 +88,6 @@ std::vector<double> PhaseSpaceBinner::bin(const std::vector<double>& x,
       }
     }
   }
-  return hist;
 }
 
 double PhaseSpaceBinner::total_count(const std::vector<double>& histogram) {

@@ -9,6 +9,7 @@
 /// CIC (bilinear) so that ablation A1 can quantify that claim.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "pic/species.hpp"
@@ -40,6 +41,9 @@ class PhaseSpaceBinner {
   /// (and counted in clamped_particles()).
   [[nodiscard]] std::vector<double> bin(const pic::Species& species) const;
 
+  /// In-place bin(): overwrites `out` (size() values) with the histogram.
+  void bin(const pic::Species& species, std::span<double> out) const;
+
   /// Histogram from raw coordinate arrays (used by tests and tools).
   [[nodiscard]] std::vector<double> bin(const std::vector<double>& x,
                                         const std::vector<double>& v) const;
@@ -55,6 +59,9 @@ class PhaseSpaceBinner {
   static double total_count(const std::vector<double>& histogram);
 
  private:
+  void accumulate(std::span<const double> x, std::span<const double> v,
+                  std::span<double> hist) const;
+
   BinnerConfig config_;
   double dx_bin_;
   double dv_bin_;

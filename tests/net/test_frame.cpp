@@ -90,6 +90,25 @@ TEST(Frame, ResponseRoundTripIsExact) {
   EXPECT_TRUE(decoded.payload.empty());
 }
 
+TEST(Frame, EmptyPayloadRoundTrips) {
+  // A zero-length f64 vector decodes without touching the (null) data
+  // pointer of the empty destination.
+  NetRequest request = sample_request();
+  request.payload.clear();
+  const auto body = body_of(encode_request(request));
+  const NetRequest decoded = decode_request(body.data(), body.size(), {});
+  EXPECT_EQ(decoded.request_id, request.request_id);
+  EXPECT_TRUE(decoded.payload.empty());
+
+  NetResponse ok;
+  ok.request_id = 9;
+  ok.status = Status::kOk;
+  const auto rbody = body_of(encode_response(ok));
+  const NetResponse rdecoded = decode_response(rbody.data(), rbody.size(), {});
+  EXPECT_EQ(rdecoded.status, Status::kOk);
+  EXPECT_TRUE(rdecoded.payload.empty());
+}
+
 TEST(Frame, HeaderRejectsGarbageMagicVersionAndOversizedLength) {
   const auto frame = encode_request(sample_request());
   uint8_t header[net::kFrameHeaderBytes];

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <future>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -199,6 +200,24 @@ TEST(NetServing, RelativeWireDeadlineExpiresAsAppError) {
   const NetResponse unknown = client.submit_async("ghost", sample).get();
   EXPECT_EQ(unknown.status, Status::kAppError);
   EXPECT_NE(unknown.error.find("ghost"), std::string::npos) << unknown.error;
+}
+
+TEST(NetServing, HugeWireDeadlineMeansNoDeadline) {
+  auto model = make_model(302);
+  Router router(small_config(1));
+  router.add_model("m", model, kInputDim);
+  NetServer server(router, test_address("huge_deadline"));
+  Client client(server.address());
+  const auto sample = make_samples(1, 4)[0];
+
+  // Receipt time + INT64_MAX us would overflow the clock. Past
+  // kMaxDeadlineUs the deadline is dropped and the request is served.
+  for (const int64_t deadline_us :
+       {std::numeric_limits<int64_t>::max(), net::kMaxDeadlineUs + 1, net::kMaxDeadlineUs}) {
+    const NetResponse r = client.submit_async("m", sample, 0, deadline_us).get();
+    EXPECT_EQ(r.status, Status::kOk) << deadline_us << ": " << r.error;
+    EXPECT_EQ(r.payload.size(), kOutputDim);
+  }
 }
 
 TEST(NetServing, MalformedBodyGetsProtocolErrorReplyAndConnectionSurvives) {

@@ -12,6 +12,7 @@
 #include <new>
 #include <thread>
 
+#include "core/dlpic.hpp"
 #include "math/fft.hpp"
 #include "math/linalg.hpp"
 #include "math/rng.hpp"
@@ -305,6 +306,32 @@ TEST(ZeroAllocation, SteadyStatePicStepParallel) {
   const size_t after = g_alloc_count.load();
   EXPECT_EQ(after - before, 0u) << "steady-state PIC steps allocated";
   util::ThreadPool::global().resize(0);
+}
+
+// A steady-state DL-PIC step — push, binning straight into the solver's
+// workspace, normalize, forward, copy into the loop's E, diagnostics — must
+// perform ZERO heap allocations, like the traditional step above.
+TEST(ZeroAllocation, SteadyStateDlPicStep) {
+  pic::SimulationConfig cfg;
+  cfg.particles_per_cell = 64;
+  cfg.nsteps = 16;  // bounds the history reserve
+  cfg.nthreads = 1;
+  phase_space::BinnerConfig bc;
+  bc.nx = 16;
+  bc.nv = 16;
+  MlpSpec spec;
+  spec.input_dim = bc.nx * bc.nv;
+  spec.output_dim = cfg.ncells;
+  spec.hidden = 32;
+  auto solver = std::make_shared<core::DlFieldSolver>(build_mlp(spec),
+                                                      data::MinMaxNormalizer(0.0, 50.0), bc);
+  core::DlPicSimulation sim(cfg, solver);
+  for (int i = 0; i < 3; ++i) sim.step();  // warm the workspace + history
+
+  const size_t before = g_alloc_count.load();
+  for (int i = 0; i < 5; ++i) sim.step();
+  const size_t after = g_alloc_count.load();
+  EXPECT_EQ(after - before, 0u) << "steady-state DL-PIC steps allocated";
 }
 
 // The three interchangeable Poisson solvers reuse their work buffers: a
