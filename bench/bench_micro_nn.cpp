@@ -57,9 +57,10 @@ void bench_gemm(benchmark::State& state) {
   benchjson::BackendGuard backend(state, 1);
   if (!backend.run(state)) return;
   // Third axis: precision (0 = f64, 1 = int8, 2 = int16). The quantized
-  // rows measure the serving-shaped cost — weights (B) precise-quantized
-  // once up front, the activation operand (A) fast-quantized inside the
-  // timed region, exactly as Dense::forward_int8/_int16 pays it per batch.
+  // rows measure the serving-shaped cost — weights (B) quantized once up
+  // front as the weight cache does (precise int8, single-pass int16), the
+  // activation operand (A) fast-quantized inside the timed region, exactly
+  // as Dense's quantized forward pays it per batch.
   const long precision = state.range(2);
   state.counters["precision"] = benchmark::Counter(static_cast<double>(precision));
   math::Rng rng(888);
@@ -80,14 +81,15 @@ void bench_gemm(benchmark::State& state) {
       benchmark::DoNotOptimize(C.data());
     }
   } else if (precision == 2) {
-    nn::QuantizedMatrix16 Bq;
-    nn::quantize_rows_precise_i16(B.data(), n, n, Bq);
+    std::vector<int16_t> Bq(n * n);
+    std::vector<double> Bs(n);
+    nn::quantize_rows_fast_i16(B.data(), n, n, Bq.data(), Bs.data());
     std::vector<int16_t> Aq(n * n);
     std::vector<double> As(n);
     for (auto _ : state) {
       nn::quantize_rows_fast_i16(A.data(), n, n, Aq.data(), As.data());
-      nn::quantized_gemm_i16(n, n, n, Aq.data(), As.data(), Bq.q.data(),
-                             Bq.scales.data(), C.data(), n);
+      nn::quantized_gemm_i16(n, n, n, Aq.data(), As.data(), Bq.data(), Bs.data(),
+                             C.data(), n);
       benchmark::DoNotOptimize(C.data());
     }
   } else {
@@ -194,7 +196,7 @@ void bench_cnn_inference_ci(benchmark::State& state) {
 /// training-step row), 1 = f64 inference forward only, 2 = int8
 /// inference, 3 = int16 inference. Modes 1-3 share the forward-only
 /// loop, so 2-vs-1 (and 3-vs-1) is the serving-shaped speedup of the
-/// quantized im2col path — weights precise-quantized once up front in a
+/// quantized im2col path — weights quantized once up front in a
 /// QuantizedWeightCache, the image fast-quantized and lowered inside the
 /// timed region, exactly as serving pays it.
 void bench_conv_step(benchmark::State& state) {
@@ -215,9 +217,9 @@ void bench_conv_step(benchmark::State& state) {
   if (mode == 2 || mode == 3) {
     const size_t krows = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
     if (mode == 2)
-      cache.put(&layer, layer.weight().data(), cfg.out_channels, krows);
+      cache.put<int8_t>(&layer, layer.weight().data(), cfg.out_channels, krows);
     else
-      cache.put_i16(&layer, layer.weight().data(), cfg.out_channels, krows);
+      cache.put<int16_t>(&layer, layer.weight().data(), cfg.out_channels, krows);
     ctx.set_weight_cache(&cache);
     ctx.set_precision(mode == 2 ? nn::Precision::kInt8 : nn::Precision::kInt16);
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
+#include <utility>
 
 #include "util/binary_io.hpp"
 
@@ -54,7 +55,13 @@ DlFieldSolver::DlFieldSolver(DlFieldSolver&& other) noexcept
               std::move(other.model_))),
       normalizer_(other.normalizer_),
       binner_(std::move(other.binner_)),
-      ctx_(std::move(other.ctx_)) {}
+      ctx_(std::move(other.ctx_)),
+      weight_cache_(std::move(other.weight_cache_)),
+      cache_precision_(std::exchange(other.cache_precision_, nn::Precision::kF64)) {
+  // The cache keys are layer addresses, which survive the model move; only
+  // the moved context still points at other's cache.
+  ctx_.set_weight_cache(&weight_cache_);
+}
 
 DlFieldSolver& DlFieldSolver::operator=(DlFieldSolver&& other) noexcept {
   if (this == &other) return *this;
@@ -68,6 +75,9 @@ DlFieldSolver& DlFieldSolver::operator=(DlFieldSolver&& other) noexcept {
   normalizer_ = other.normalizer_;
   binner_ = std::move(other.binner_);
   ctx_ = std::move(other.ctx_);
+  weight_cache_ = std::move(other.weight_cache_);
+  cache_precision_ = std::exchange(other.cache_precision_, nn::Precision::kF64);
+  ctx_.set_weight_cache(&weight_cache_);
   return *this;
 }
 
@@ -92,6 +102,13 @@ nn::Tensor& DlFieldSolver::staged_input() {
 
 const nn::Tensor& DlFieldSolver::infer(nn::Tensor& x) {
   normalizer_.apply(x.vec());
+  const nn::Precision precision = ctx_.precision();
+  if (nn::is_quantized(precision) && precision != cache_precision_) {
+    weight_cache_.clear();
+    weight_cache_.build(model_, precision);
+    cache_precision_ = precision;
+    ctx_.set_weight_cache(&weight_cache_);
+  }
   return model_.predict(ctx_, x);
 }
 

@@ -33,7 +33,8 @@ class DlFieldSolver {
   /// registration cannot be withdrawn, so the shared server would keep
   /// serving from the moved-from model. Both operations detect an active
   /// shared registration and std::terminate with a diagnostic instead of
-  /// corrupting the live bundle. Shut the shared server down first.
+  /// corrupting the live bundle. Shut the shared server down first. The
+  /// destination's context points at the destination's weight cache.
   DlFieldSolver(DlFieldSolver&& other) noexcept;
   DlFieldSolver& operator=(DlFieldSolver&& other) noexcept;
   DlFieldSolver(const DlFieldSolver&) = delete;
@@ -55,7 +56,14 @@ class DlFieldSolver {
   /// activations every cycle.
   [[nodiscard]] std::vector<double> solve_histogram(const std::vector<double>& histogram);
 
-  /// The solver's reusable inference context.
+  /// The solver's reusable inference context. Set its precision to kInt8
+  /// or kInt16 to run the in-loop solves quantized: the first inference at
+  /// a quantized precision — and the first after the precision changes —
+  /// quantizes the model's weights into the solver's own
+  /// nn::QuantizedWeightCache and points the context at it. The cache is a
+  /// snapshot of the weights at that build (as a serving bundle's is at
+  /// registration): a later write to model() is not seen by quantized
+  /// solves.
   [[nodiscard]] nn::ExecutionContext& context() { return ctx_; }
 
   /// Starts (or restarts with a new config) the serving-backed mode: a
@@ -132,13 +140,17 @@ class DlFieldSolver {
 
   /// The histogram staging tensor in the solver's workspace.
   nn::Tensor& staged_input();
-  /// Normalizes the histogram staged in `x` in place and runs the forward.
+  /// Normalizes the histogram staged in `x` in place and runs the forward,
+  /// (re)building the weight cache first when the context's precision is
+  /// quantized and differs from the cache's.
   const nn::Tensor& infer(nn::Tensor& x);
 
   nn::Sequential model_;
   data::MinMaxNormalizer normalizer_;
   phase_space::PhaseSpaceBinner binner_;
   nn::ExecutionContext ctx_;
+  nn::QuantizedWeightCache weight_cache_;
+  nn::Precision cache_precision_ = nn::Precision::kF64;  // kF64: not built
   std::unique_ptr<serve::InferenceServer> server_;     // non-null in private mode
   serve::InferenceServer* shared_server_ = nullptr;    // non-null in shared mode
   size_t model_id_ = 0;                                // bundle id while serving

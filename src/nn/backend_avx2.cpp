@@ -77,12 +77,18 @@ struct TscStencil {
 /// Gathers and weight-sums one stencil: matches the scalar gather_at
 /// accumulation exactly (acc starts at +0.0 and adds E*w in ascending node
 /// order with no FMA — starting from the first product instead would flip
-/// the sign bit when E[node]*w is -0.0, since 0.0 + -0.0 == +0.0).
+/// the sign bit when E[node]*w is -0.0, since 0.0 + -0.0 == +0.0). The
+/// gather is the masked form with an all-lanes mask and a zero source: the
+/// same vgatherdpd as _mm256_i32gather_pd, whose undefined source operand
+/// GCC reports as -Wmaybe-uninitialized.
 template <class St>
 inline __m256d gather_stencil(const double* E, const St& st) {
-  __m256d acc = _mm256_setzero_pd();
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+  __m256d acc = zero;
   for (int s = 0; s < St::support; ++s)
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_i32gather_pd(E, st.node[s], 8), st.w[s]));
+    acc = _mm256_add_pd(
+        acc, _mm256_mul_pd(_mm256_mask_i32gather_pd(zero, E, st.node[s], all, 8), st.w[s]));
   return acc;
 }
 

@@ -27,18 +27,7 @@ constexpr int kSlotDb = 6;      // per-image bias-grad contributions
 // per-width, and every f64 scale buffer is fully rewritten each call).
 constexpr int kSlotQCols = 7;         // per-worker lowered column codes
 constexpr int kSlotQColScale = 8;     // per-worker per-pixel column scales
-constexpr int kSlotQWeight = 9;       // fast-quantized filters (cache miss)
-constexpr int kSlotQWeightScale = 10; // per-filter scales (cache miss)
-constexpr int kSlotQImg = 11;         // per-worker quantized input image
-
-/// Width-dispatching scratch accessor for the quantized staging buffers.
-template <typename Code>
-std::vector<Code>& scratch_codes(Workspace& ws, const void* owner, int slot, size_t n) {
-  if constexpr (std::is_same_v<Code, int8_t>)
-    return ws.scratch_i8(owner, slot, n);
-  else
-    return ws.scratch_i16(owner, slot, n);
-}
+constexpr int kSlotQImg = 9;          // per-worker quantized input image
 
 /// Shared traversal of the transposed lowering — see im2col_rows for the
 /// layout contract. Templated over the element type so the quantized path
@@ -308,40 +297,12 @@ void Conv2D::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tenso
                                 " exceeds the quantized GEMM bound " +
                                 std::to_string(kMaxDepth));
 
-  // Static side: precise filter codes from the serving cache when present
-  // (shape-checked: [oc, ic*kh*kw] row-major, k-contiguous rows), else one
-  // fast per-call quantization before the image loop.
-  const Code* w_codes = nullptr;
-  const double* w_scales = nullptr;
-  if (const QuantizedWeightCache* cache = ctx.weight_cache()) {
-    if constexpr (kIs8) {
-      if (const QuantizedMatrix* wq = cache->find(this)) {
-        if (wq->rows != cfg_.out_channels || wq->cols != krows)
-          throw std::logic_error("Conv2D::forward: quantized weight cache shape mismatch");
-        w_codes = wq->q.data();
-        w_scales = wq->scales.data();
-      }
-    } else {
-      if (const QuantizedMatrix16* wq = cache->find_i16(this)) {
-        if (wq->rows != cfg_.out_channels || wq->cols != krows)
-          throw std::logic_error("Conv2D::forward: quantized weight cache shape mismatch");
-        w_codes = wq->q.data();
-        w_scales = wq->scales.data();
-      }
-    }
-  }
-  if (w_codes == nullptr) {
-    std::vector<Code>& wqs =
-        scratch_codes<Code>(ws, this, kSlotQWeight, cfg_.out_channels * krows);
-    std::vector<double>& wss = ws.scratch(this, kSlotQWeightScale, cfg_.out_channels);
-    if constexpr (kIs8)
-      quantize_rows_fast(weight_.data(), cfg_.out_channels, krows, wqs.data(), wss.data());
-    else
-      quantize_rows_fast_i16(weight_.data(), cfg_.out_channels, krows, wqs.data(),
-                             wss.data());
-    w_codes = wqs.data();
-    w_scales = wss.data();
-  }
+  // Static side: the filter codes ([oc, ic*kh*kw] row-major, k-contiguous
+  // rows), quantized once when the cache was built.
+  const QuantizedRows<Code>& wq =
+      cached_weights<Code>(ctx.weight_cache(), this, cfg_.out_channels, krows, "Conv2D");
+  const Code* w_codes = wq.q.data();
+  const double* w_scales = wq.scales.data();
 
   // Dynamic side, parallel over images exactly like the f64 path. Each
   // worker fast-quantizes its whole image once — symmetric, one shared
@@ -364,8 +325,8 @@ void Conv2D::forward_quantized(ExecutionContext& ctx, const Tensor& input, Tenso
   // lowering's one-element group overstore never crosses into the next
   // worker's segment (which would race with that worker's own writes).
   const size_t colstride = plane * krows + kLowerPad;
-  std::vector<Code>& qimg = scratch_codes<Code>(ws, this, kSlotQImg, nworkers * chw);
-  std::vector<Code>& qcols = scratch_codes<Code>(ws, this, kSlotQCols, nworkers * colstride);
+  std::vector<Code>& qimg = ws.scratch_codes<Code>(this, kSlotQImg, nworkers * chw);
+  std::vector<Code>& qcols = ws.scratch_codes<Code>(this, kSlotQCols, nworkers * colstride);
   std::vector<double>& qscales = ws.scratch(this, kSlotQColScale, nworkers * plane);
   util::parallel_for_workers(0, n, [&](size_t worker, size_t lo, size_t hi) {
     ScopedBackend worker_backend(be);

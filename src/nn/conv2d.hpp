@@ -56,7 +56,8 @@ class Conv2D final : public Layer {
   /// (one shared scale per image), transposed im2col lowering of the
   /// CODES — quantized im2col, so the 9x-duplicating lowering moves
   /// code-width bytes, not doubles — then an integer GEMM against the
-  /// cached (or fast-quantized) filter codes.
+  /// filter codes of the context's QuantizedWeightCache (std::logic_error
+  /// on a miss).
   template <typename Code>
   void forward_quantized(ExecutionContext& ctx, const Tensor& input, Tensor& out,
                          size_t h, size_t w, size_t oh, size_t ow);

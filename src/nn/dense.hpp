@@ -42,12 +42,13 @@ class Dense final : public Layer {
   [[nodiscard]] const Tensor& bias() const { return bias_; }
 
  private:
-  /// The quantized inference paths (ctx.precision() == kInt8 / kInt16):
-  /// fast-quantize the activation rows, fetch (or fast-quantize) the
-  /// weights, run the integer GEMM into `out`. The caller adds the f64
+  /// The quantized inference path (ctx.precision() == kInt8 / kInt16, Code
+  /// = int8_t / int16_t): fast-quantize the activation rows, take the
+  /// weight codes from the context's QuantizedWeightCache (std::logic_error
+  /// on a miss), run the integer GEMM into `out`. The caller adds the f64
   /// bias afterwards.
-  void forward_int8(ExecutionContext& ctx, const Tensor& input, Tensor& out);
-  void forward_int16(ExecutionContext& ctx, const Tensor& input, Tensor& out);
+  template <typename Code>
+  void forward_quantized(ExecutionContext& ctx, const Tensor& input, Tensor& out);
 
   size_t in_, out_;
   Tensor weight_, weight_grad_;  // [out, in]

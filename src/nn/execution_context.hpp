@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -52,14 +53,15 @@ class Workspace {
   /// Reusable raw double scratch of at least `n` elements (grow-only).
   std::vector<double>& scratch(const void* owner, int slot, size_t n);
 
-  /// Reusable raw int8 scratch of at least `n` elements (grow-only) — the
-  /// quantized-operand staging buffers of the int8 inference path, so the
-  /// steady-state batch loop quantizes without allocating.
-  std::vector<int8_t>& scratch_i8(const void* owner, int slot, size_t n);
-
-  /// Reusable raw int16 scratch of at least `n` elements (grow-only) — the
-  /// int16 tier's staging buffers, same contract as scratch_i8.
-  std::vector<int16_t>& scratch_i16(const void* owner, int slot, size_t n);
+  /// Reusable raw int8 / int16 code scratch (Code = int8_t / int16_t) of
+  /// at least `n` elements (grow-only) — the quantized-operand staging
+  /// buffers, so the steady-state batch loop quantizes without allocating.
+  template <typename Code>
+  std::vector<Code>& scratch_codes(const void* owner, int slot, size_t n) {
+    std::vector<Code>& v = std::get<CodeMap<Code>>(codes_)[Key{owner, slot}];
+    if (v.size() < n) v.resize(n);
+    return v;
+  }
 
   /// Reusable index scratch of exactly `n` elements (grow-only capacity).
   std::vector<size_t>& indices(const void* owner, int slot, size_t n);
@@ -95,8 +97,9 @@ class Workspace {
 
   std::unordered_map<Key, Tensor, KeyHash> tensors_;
   std::unordered_map<Key, std::vector<double>, KeyHash> scratch_;
-  std::unordered_map<Key, std::vector<int8_t>, KeyHash> scratch_i8_;
-  std::unordered_map<Key, std::vector<int16_t>, KeyHash> scratch_i16_;
+  template <typename Code>
+  using CodeMap = std::unordered_map<Key, std::vector<Code>, KeyHash>;
+  std::tuple<CodeMap<int8_t>, CodeMap<int16_t>> codes_;
   std::unordered_map<Key, std::vector<size_t>, KeyHash> indices_;
 };
 
@@ -138,10 +141,11 @@ class ExecutionContext {
   [[nodiscard]] Precision precision() const { return precision_; }
   void set_precision(Precision precision) { precision_ = precision; }
 
-  /// Precise pre-quantized static weights consulted by the quantized paths
-  /// (nullptr = none; layers fall back to fast per-call weight
-  /// quantization). Not owned; the serving layer points this at the served
-  /// bundle's cache before each batch.
+  /// Quantized static weights the quantized paths read (nullptr = none).
+  /// Required at kInt8/kInt16: a Dense or Conv2D forward throws
+  /// std::logic_error when this holds no entry for it at the context's code
+  /// width. Not owned; the serving layer points this at the served bundle's
+  /// cache before each batch, DlFieldSolver at its own cache.
   [[nodiscard]] const QuantizedWeightCache* weight_cache() const { return weight_cache_; }
   void set_weight_cache(const QuantizedWeightCache* cache) { weight_cache_ = cache; }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -78,43 +79,6 @@ void quantize_rows_fast_impl(const double* src, size_t rows, size_t cols, Code* 
   }
 }
 
-/// Shared precise-path body: candidate scales absmax/Limit .. absmax/TMin —
-/// a finer grid (larger t) trades clipping of the largest entries against
-/// resolution for the rest; keep whichever minimizes this row's round-trip
-/// error. t = Limit runs first so the fast path's result is the
-/// tie-breaking baseline.
-template <typename Code, long long Limit, long long TMin, typename Matrix>
-void quantize_rows_precise_impl(const double* src, size_t rows, size_t cols,
-                                Matrix& out) {
-  out.rows = rows;
-  out.cols = cols;
-  out.q.resize(rows * cols);
-  out.scales.resize(rows);
-  std::vector<Code> trial(cols);
-  for (size_t r = 0; r < rows; ++r) {
-    const double* x = src + r * cols;
-    Code* qr = out.q.data() + r * cols;
-    const double absmax = row_absmax(x, cols);
-    if (absmax == 0.0) {
-      out.scales[r] = 0.0;
-      std::memset(qr, 0, cols * sizeof(Code));
-      continue;
-    }
-    double best_err = quantize_row<Code, Limit, true>(x, cols, absmax / Limit, qr);
-    double best_s = absmax / static_cast<double>(Limit);
-    for (long long t = Limit - 1; t >= TMin && best_err > 0.0; --t) {
-      const double s = absmax / static_cast<double>(t);
-      const double err = quantize_row<Code, Limit, true>(x, cols, s, trial.data());
-      if (err < best_err) {
-        best_err = err;
-        best_s = s;
-        std::memcpy(qr, trial.data(), cols * sizeof(Code));
-      }
-    }
-    out.scales[r] = best_s;
-  }
-}
-
 }  // namespace
 
 const char* precision_name(Precision p) {
@@ -145,12 +109,38 @@ void quantize_rows_fast_i16(const double* src, size_t rows, size_t cols, int16_t
 
 void quantize_rows_precise(const double* src, size_t rows, size_t cols,
                            QuantizedMatrix& out) {
-  quantize_rows_precise_impl<int8_t, 127, 96>(src, rows, cols, out);
-}
-
-void quantize_rows_precise_i16(const double* src, size_t rows, size_t cols,
-                               QuantizedMatrix16& out) {
-  quantize_rows_precise_impl<int16_t, 32767, 32736>(src, rows, cols, out);
+  // Candidate scales absmax/127 .. absmax/96 — a finer grid (smaller scale)
+  // trades clipping of the largest entries against resolution for the rest;
+  // keep whichever minimizes this row's round-trip error. t = 127 runs
+  // first so the fast path's result is the tie-breaking baseline.
+  constexpr long long kLimit = 127, kTMin = 96;
+  out.rows = rows;
+  out.cols = cols;
+  out.q.resize(rows * cols);
+  out.scales.resize(rows);
+  std::vector<int8_t> trial(cols);
+  for (size_t r = 0; r < rows; ++r) {
+    const double* x = src + r * cols;
+    int8_t* qr = out.q.data() + r * cols;
+    const double absmax = row_absmax(x, cols);
+    if (absmax == 0.0) {
+      out.scales[r] = 0.0;
+      std::memset(qr, 0, cols);
+      continue;
+    }
+    double best_s = absmax / static_cast<double>(kLimit);
+    double best_err = quantize_row<int8_t, kLimit, true>(x, cols, best_s, qr);
+    for (long long t = kLimit - 1; t >= kTMin && best_err > 0.0; --t) {
+      const double s = absmax / static_cast<double>(t);
+      const double err = quantize_row<int8_t, kLimit, true>(x, cols, s, trial.data());
+      if (err < best_err) {
+        best_err = err;
+        best_s = s;
+        std::memcpy(qr, trial.data(), cols);
+      }
+    }
+    out.scales[r] = best_s;
+  }
 }
 
 namespace {
@@ -252,23 +242,31 @@ void validate_quantizable(const Sequential& model, Precision precision,
   }
 }
 
+template <typename Code>
 void QuantizedWeightCache::put(const void* key, const double* rows, size_t nrows,
                                size_t ncols) {
-  quantize_rows_precise(rows, nrows, ncols, entries_[key]);
+  QuantizedRows<Code>& entry = std::get<Entries<Code>>(entries_)[key];
+  if constexpr (std::is_same_v<Code, int8_t>) {
+    quantize_rows_precise(rows, nrows, ncols, entry);
+  } else {
+    entry.rows = nrows;
+    entry.cols = ncols;
+    entry.q.resize(nrows * ncols);
+    entry.scales.resize(nrows);
+    quantize_rows_fast_i16(rows, nrows, ncols, entry.q.data(), entry.scales.data());
+  }
 }
 
-void QuantizedWeightCache::put_i16(const void* key, const double* rows, size_t nrows,
-                                   size_t ncols) {
-  quantize_rows_precise_i16(rows, nrows, ncols, entries16_[key]);
-}
+template void QuantizedWeightCache::put<int8_t>(const void*, const double*, size_t, size_t);
+template void QuantizedWeightCache::put<int16_t>(const void*, const double*, size_t, size_t);
 
 void QuantizedWeightCache::build(const Sequential& model, Precision precision) {
   const auto add = [&](const void* key, const double* rows, size_t nrows,
                        size_t ncols) {
     if (precision == Precision::kInt16)
-      put_i16(key, rows, nrows, ncols);
+      put<int16_t>(key, rows, nrows, ncols);
     else
-      put(key, rows, nrows, ncols);
+      put<int8_t>(key, rows, nrows, ncols);
   };
   for (size_t i = 0; i < model.layer_count(); ++i) {
     const Layer& layer = model.layer(i);
@@ -287,14 +285,32 @@ void QuantizedWeightCache::build(const Sequential& model, Precision precision) {
   }
 }
 
-const QuantizedMatrix* QuantizedWeightCache::find(const void* key) const {
-  const auto it = entries_.find(key);
-  return it != entries_.end() ? &it->second : nullptr;
+template <typename Code>
+const QuantizedRows<Code>& cached_weights(const QuantizedWeightCache* cache,
+                                          const void* key, size_t rows, size_t cols,
+                                          const char* layer) {
+  const char* width = std::is_same_v<Code, int8_t> ? "int8" : "int16";
+  const QuantizedRows<Code>* entry = cache != nullptr ? cache->find<Code>(key) : nullptr;
+  if (entry == nullptr) {
+    const std::string why =
+        cache == nullptr ? std::string("the context has no QuantizedWeightCache attached")
+                         : std::string("the attached cache has no ") + width +
+                               " entry for this layer";
+    throw std::logic_error(std::string(layer) + "::forward: " + width +
+                           " precision reads weight codes from a QuantizedWeightCache "
+                           "built at " + width + ", but " + why);
+  }
+  if (entry->rows != rows || entry->cols != cols)
+    throw std::logic_error(std::string(layer) +
+                           "::forward: quantized weight cache shape mismatch");
+  return *entry;
 }
 
-const QuantizedMatrix16* QuantizedWeightCache::find_i16(const void* key) const {
-  const auto it = entries16_.find(key);
-  return it != entries16_.end() ? &it->second : nullptr;
-}
+template const QuantizedRows<int8_t>& cached_weights<int8_t>(const QuantizedWeightCache*,
+                                                             const void*, size_t, size_t,
+                                                             const char*);
+template const QuantizedRows<int16_t>& cached_weights<int16_t>(const QuantizedWeightCache*,
+                                                               const void*, size_t, size_t,
+                                                               const char*);
 
 }  // namespace dlpic::nn

@@ -7,12 +7,16 @@
 /// Scheme (the dlibx qmat idiom): every row is quantized independently with
 /// its own scale s so q[i] = clamp(round(x[i] / s), -Q, Q) and
 /// x[i] ~= s * q[i], with Q = 127 for int8 and Q = 32767 for int16. Static
-/// operands (layer weights) go through the *precise* path once — a small
-/// scale search minimizing the round-trip error — while dynamic operands
-/// (activations, im2col columns) use the *fast* path, s = row_absmax / Q,
-/// a single pass per row. The GEMMs accumulate exact integer dot products
-/// (int32 for int8 codes, int64 for int16 codes) and dequantize with
-/// per-row LHS x per-row RHS scales:
+/// operands (layer weights) are quantized once, into a QuantizedWeightCache
+/// — int8 through the *precise* path (a small scale search minimizing the
+/// round-trip error), int16 through the fast path, whose 15-bit grid leaves
+/// a search almost nothing to gain — while dynamic operands (activations,
+/// im2col columns) use the *fast* path, s = row_absmax / Q, a single pass
+/// per row. A quantized layer forward never quantizes its own weights: it
+/// reads them from the context's cache and throws std::logic_error when the
+/// cache has no entry for it. The GEMMs accumulate exact integer dot
+/// products (int32 for int8 codes, int64 for int16 codes) and dequantize
+/// with per-row LHS x per-row RHS scales:
 ///
 ///   C[i,j] = (a_scales[i] * b_scales[j]) * sum_p Aq[i,p] * Bq[j,p]
 ///
@@ -33,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -66,23 +71,17 @@ enum class Precision : uint8_t {
 /// anything else.
 [[nodiscard]] Precision precision_from_name(const std::string& name);
 
-/// A row-major int8 matrix with one dequantization scale per row:
-/// original[r][c] ~= scales[r] * q[r * cols + c].
-struct QuantizedMatrix {
+/// A row-major matrix of integer codes with one dequantization scale per
+/// row: original[r][c] ~= scales[r] * q[r * cols + c].
+template <typename Code>
+struct QuantizedRows {
   size_t rows = 0;
   size_t cols = 0;
-  std::vector<int8_t> q;       ///< rows * cols values in [-127, 127]
+  std::vector<Code> q;         ///< rows * cols codes in [-Q, Q]
   std::vector<double> scales;  ///< one scale per row (0.0 for all-zero rows)
 };
-
-/// A row-major int16 matrix with one dequantization scale per row:
-/// original[r][c] ~= scales[r] * q[r * cols + c].
-struct QuantizedMatrix16 {
-  size_t rows = 0;
-  size_t cols = 0;
-  std::vector<int16_t> q;      ///< rows * cols values in [-32767, 32767]
-  std::vector<double> scales;  ///< one scale per row (0.0 for all-zero rows)
-};
+using QuantizedMatrix = QuantizedRows<int8_t>;     ///< Q = 127
+using QuantizedMatrix16 = QuantizedRows<int16_t>;  ///< Q = 32767
 
 /// Fast per-row int8 quantization (one pass per row, scale = absmax / 127)
 /// into caller-provided storage: `q` holds rows*cols values, `scales` one
@@ -94,22 +93,17 @@ void quantize_rows_fast(const double* src, size_t rows, size_t cols, int8_t* q,
                         double* scales);
 
 /// Fast per-row int16 quantization (scale = absmax / 32767) — the int16
-/// tier's analogue of quantize_rows_fast, same storage contract.
+/// tier's analogue of quantize_rows_fast, same storage contract. Also what
+/// QuantizedWeightCache uses for int16 weight entries.
 void quantize_rows_fast_i16(const double* src, size_t rows, size_t cols, int16_t* q,
                             double* scales);
 
 /// Precise per-row int8 quantization: searches a small set of candidate
 /// scales (absmax / t for t near 127) and keeps the one minimizing the
 /// row's round-trip squared error. ~30x the cost of the fast path — meant
-/// for static weights quantized once at registration time.
+/// for static weights quantized once, when a weight cache is built.
 void quantize_rows_precise(const double* src, size_t rows, size_t cols,
                            QuantizedMatrix& out);
-
-/// Precise per-row int16 quantization (scale search near t = 32767). The
-/// refinement over the fast path is small at 15-bit resolution but free at
-/// registration time.
-void quantize_rows_precise_i16(const double* src, size_t rows, size_t cols,
-                               QuantizedMatrix16& out);
 
 /// C (m x n, row stride ldc, overwritten) = diag(a_scales) (Aq Bq^T)
 /// diag(b_scales): Aq is m x k row-major, Bq is n x k row-major (both
@@ -142,45 +136,60 @@ void quantized_gemm_i16(size_t m, size_t n, size_t k, const int16_t* Aq,
 void validate_quantizable(const Sequential& model, Precision precision,
                           const std::string& model_name);
 
-/// Precise-path quantizations of a model's static weights, keyed by layer
-/// address — built once per model (ModelBundle does this at registration)
-/// and read lock-free by every batcher thread. Dense/Conv2D forwards
-/// consult the active context's cache; on a miss they fall back to
-/// fast-quantizing the weights per call, which is correct but slower and
-/// less accurate.
+/// Quantized static weights of a model, keyed by layer address: int8
+/// entries precise-quantized, int16 entries fast-quantized. Built once per
+/// model and precision (ModelBundle does it at registration, DlFieldSolver
+/// at its first quantized inference) and read lock-free by every forward.
+/// The entries are a snapshot: a later write to the model's weights is not
+/// seen until the cache is rebuilt. Dense/Conv2D quantized forwards take
+/// their weight codes only from here (see cached_weights()).
 class QuantizedWeightCache {
  public:
-  /// Precise-quantizes one weight matrix to int8 under `key` (replacing any
-  /// previous entry). `key` is the owning layer's address.
+  /// Quantizes one [nrows x ncols] weight matrix at Code width under `key`
+  /// (replacing any previous entry at that width). `key` is the owning
+  /// layer's address. Instantiated for int8_t and int16_t.
+  template <typename Code>
   void put(const void* key, const double* rows, size_t nrows, size_t ncols);
-
-  /// Precise-quantizes one weight matrix to int16 under `key`.
-  void put_i16(const void* key, const double* rows, size_t nrows, size_t ncols);
 
   /// Walks `model` and put()s every GEMM weight matrix — each Dense, each
   /// Conv2D filter matrix ([oc, ic*kh*kw], already k-contiguous), and the
   /// dense pair inside each ResidualDense block — keyed by layer address,
-  /// at the code width `precision` selects (kInt8 entries serve find(),
-  /// kInt16 entries serve find_i16()). Read-only on the model.
+  /// at the code width `precision` selects (int16 for kInt16, else int8).
+  /// Read-only on the model.
   void build(const Sequential& model, Precision precision = Precision::kInt8);
 
-  /// The int8 entry for `key`, or nullptr. Safe to call concurrently with
-  /// other readers; not with put()/build()/clear().
-  [[nodiscard]] const QuantizedMatrix* find(const void* key) const;
-
-  /// The int16 entry for `key`, or nullptr. Same concurrency contract.
-  [[nodiscard]] const QuantizedMatrix16* find_i16(const void* key) const;
+  /// The Code-width entry for `key`, or nullptr. Safe to call concurrently
+  /// with other readers; not with put()/build()/clear().
+  template <typename Code>
+  [[nodiscard]] const QuantizedRows<Code>* find(const void* key) const {
+    const auto& map = std::get<Entries<Code>>(entries_);
+    const auto it = map.find(key);
+    return it != map.end() ? &it->second : nullptr;
+  }
 
   void clear() {
-    entries_.clear();
-    entries16_.clear();
+    std::get<0>(entries_).clear();
+    std::get<1>(entries_).clear();
   }
-  [[nodiscard]] size_t size() const { return entries_.size() + entries16_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty() && entries16_.empty(); }
+  [[nodiscard]] size_t size() const {
+    return std::get<0>(entries_).size() + std::get<1>(entries_).size();
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
 
  private:
-  std::unordered_map<const void*, QuantizedMatrix> entries_;
-  std::unordered_map<const void*, QuantizedMatrix16> entries16_;
+  template <typename Code>
+  using Entries = std::unordered_map<const void*, QuantizedRows<Code>>;
+  std::tuple<Entries<int8_t>, Entries<int16_t>> entries_;
 };
+
+/// The Code-width weight codes of the [rows x cols] matrix owned by `key`,
+/// as a quantized forward of layer type `layer` reads them. Throws
+/// std::logic_error, naming `layer` and the precision, when `cache` is
+/// null, holds no entry for `key` at this width, or holds one of another
+/// shape. Instantiated for int8_t and int16_t.
+template <typename Code>
+const QuantizedRows<Code>& cached_weights(const QuantizedWeightCache* cache,
+                                          const void* key, size_t rows, size_t cols,
+                                          const char* layer);
 
 }  // namespace dlpic::nn

@@ -39,7 +39,7 @@ void PhaseSpaceBinner::accumulate(std::span<const double> x, std::span<const dou
   const size_t nx = config_.nx;
   const size_t nv = config_.nv;
   std::fill(hist.begin(), hist.end(), 0.0);
-  clamped_ = 0;
+  size_t clamped = 0;
 
   const double inv_dx = 1.0 / dx_bin_;
   const double inv_dv = 1.0 / dv_bin_;
@@ -52,7 +52,7 @@ void PhaseSpaceBinner::accumulate(std::span<const double> x, std::span<const dou
     // Clamp in v (velocity axis is not periodic).
     double vp = v[p];
     if (vp < config_.vmin || vp > config_.vmax) {
-      ++clamped_;
+      ++clamped;
       vp = std::min(std::max(vp, config_.vmin), config_.vmax);
     }
     const double xi = xp * inv_dx;                    // in [0, nx)
@@ -88,6 +88,7 @@ void PhaseSpaceBinner::accumulate(std::span<const double> x, std::span<const dou
       }
     }
   }
+  clamped_.store(clamped, std::memory_order_relaxed);
 }
 
 double PhaseSpaceBinner::total_count(const std::vector<double>& histogram) {

@@ -8,6 +8,7 @@
 /// interpolation would mitigate binning artifacts — we provide both NGP and
 /// CIC (bilinear) so that ablation A1 can quantify that claim.
 
+#include <atomic>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -35,6 +36,14 @@ struct BinnerConfig {
 class PhaseSpaceBinner {
  public:
   explicit PhaseSpaceBinner(const BinnerConfig& config);
+  /// Copies the geometry, not the clamp count.
+  PhaseSpaceBinner(const PhaseSpaceBinner& other) : PhaseSpaceBinner(other.config_) {}
+  PhaseSpaceBinner& operator=(const PhaseSpaceBinner& other) {
+    config_ = other.config_;
+    dx_bin_ = other.dx_bin_;
+    dv_bin_ = other.dv_bin_;
+    return *this;
+  }
 
   /// Accumulates the histogram of `species`. Particle x is wrapped
   /// periodically; v outside [vmin, vmax] is clamped into the edge bins
@@ -51,8 +60,12 @@ class PhaseSpaceBinner {
   [[nodiscard]] const BinnerConfig& config() const { return config_; }
   [[nodiscard]] size_t size() const { return config_.nx * config_.nv; }
 
-  /// Particles clamped in v during the most recent bin() call.
-  [[nodiscard]] size_t clamped_particles() const { return clamped_; }
+  /// Particles clamped in v during the most recent bin() call. bin() may
+  /// run concurrently on one binner; each call publishes its own count
+  /// once, so under concurrent calls this is the count of one of them.
+  [[nodiscard]] size_t clamped_particles() const {
+    return clamped_.load(std::memory_order_relaxed);
+  }
 
   /// Sum of all histogram counts — equals the particle count for both
   /// binning orders (total-count conservation, a tested invariant).
@@ -65,7 +78,7 @@ class PhaseSpaceBinner {
   BinnerConfig config_;
   double dx_bin_;
   double dv_bin_;
-  mutable size_t clamped_ = 0;
+  mutable std::atomic<size_t> clamped_{0};
 };
 
 }  // namespace dlpic::phase_space

@@ -146,9 +146,9 @@ void DynamicBatcher::run_batch(ModelBundle& bundle) {
     if (bundle.normalizer) bundle.normalizer->apply(x.data(), x.size());
 
     // Per-bundle precision pick: point the context at this bundle's
-    // precision and (for quantized tiers) its precise quantized weight
-    // cache before the forward pass. Both are plain per-context fields —
-    // bundles of different precisions interleave freely on one worker.
+    // precision and (for quantized tiers) its quantized weight cache before
+    // the forward pass. Both are plain per-context fields — bundles of
+    // different precisions interleave freely on one worker.
     ctx_.set_precision(bundle.config.precision);
     ctx_.set_weight_cache(nn::is_quantized(bundle.config.precision)
                               ? bundle.quantized_weights.get()

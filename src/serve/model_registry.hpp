@@ -51,8 +51,8 @@ struct ModelConfig {
   /// sits between — near-f64 accuracy at a still-substantial GEMM speedup.
   /// Both quantized tiers stay bitwise reproducible across backends,
   /// workers, and batch sizes. The registry validates the model is
-  /// quantizable and builds the bundle's precise quantized weight cache at
-  /// add() time for either quantized precision. Pick kInt8 for bulk lanes,
+  /// quantizable and builds the bundle's quantized weight cache at add()
+  /// time for either quantized precision. Pick kInt8 for bulk lanes,
   /// kInt16 for lanes needing tighter error, kF64 for validation lanes.
   nn::Precision precision = nn::Precision::kF64;
 };
@@ -70,8 +70,9 @@ struct ModelBundle {
   size_t input_dim = 0;                      ///< flattened sample width
   ModelConfig config;
 
-  /// Precise per-row quantization of every Dense and Conv2D weight matrix
-  /// at the bundle's precision, built at registration when
+  /// Per-row quantization of every Dense and Conv2D weight matrix at the
+  /// bundle's precision (precise int8, single-pass int16), built at
+  /// registration when
   /// config.precision is a quantized tier (so batcher threads read it
   /// lock-free) and null otherwise.
   std::unique_ptr<nn::QuantizedWeightCache> quantized_weights;

@@ -164,4 +164,36 @@ TEST(DlFieldSolver, MoveOfUnregisteredSolverStillWorks) {
   for (size_t i = 0; i < before.size(); ++i) EXPECT_EQ(before[i], after[i]);
 }
 
+// At int16 the solver quantizes its weights into its own cache. The cache
+// moves with the solver: a move-constructed and a move-assigned solver each
+// solve bitwise as the source did before the move, through a context that
+// points at their own cache — also once the source is destroyed.
+TEST(DlFieldSolver, MovedSolverSolvesAtInt16FromItsOwnCache) {
+  std::vector<double> hist(64);
+  for (size_t i = 0; i < 64; ++i) hist[i] = static_cast<double>(i % 5);
+  auto make_source = [] {
+    auto solver = std::make_unique<DlFieldSolver>(tiny_model(64, 16),
+                                                  MinMaxNormalizer(0.0, 10.0), tiny_binner());
+    solver->context().set_precision(dlpic::nn::Precision::kInt16);
+    return solver;
+  };
+  {
+    auto source = make_source();
+    const auto before = source->solve_histogram(hist);
+    DlFieldSolver moved(std::move(*source));
+    source.reset();
+    EXPECT_EQ(moved.solve_histogram(hist), before);
+    EXPECT_NE(moved.context().weight_cache(), nullptr);
+  }
+  {
+    auto source = make_source();
+    const auto before = source->solve_histogram(hist);
+    DlFieldSolver assigned(tiny_model(64, 16, 8), MinMaxNormalizer(0.0, 1.0), tiny_binner());
+    assigned = std::move(*source);
+    source.reset();
+    EXPECT_EQ(assigned.solve_histogram(hist), before);
+    EXPECT_NE(assigned.context().weight_cache(), nullptr);
+  }
+}
+
 }  // namespace

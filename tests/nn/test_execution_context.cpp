@@ -310,28 +310,39 @@ TEST(ZeroAllocation, SteadyStatePicStepParallel) {
 
 // A steady-state DL-PIC step — push, binning straight into the solver's
 // workspace, normalize, forward, copy into the loop's E, diagnostics — must
-// perform ZERO heap allocations, like the traditional step above.
+// perform ZERO heap allocations after the first step, like the traditional
+// step above. At int16 the solver quantizes its weights once, into its own
+// cache, and the context reads them from there on every later step.
 TEST(ZeroAllocation, SteadyStateDlPicStep) {
-  pic::SimulationConfig cfg;
-  cfg.particles_per_cell = 64;
-  cfg.nsteps = 16;  // bounds the history reserve
-  cfg.nthreads = 1;
-  phase_space::BinnerConfig bc;
-  bc.nx = 16;
-  bc.nv = 16;
-  MlpSpec spec;
-  spec.input_dim = bc.nx * bc.nv;
-  spec.output_dim = cfg.ncells;
-  spec.hidden = 32;
-  auto solver = std::make_shared<core::DlFieldSolver>(build_mlp(spec),
-                                                      data::MinMaxNormalizer(0.0, 50.0), bc);
-  core::DlPicSimulation sim(cfg, solver);
-  for (int i = 0; i < 3; ++i) sim.step();  // warm the workspace + history
+  for (const Precision precision : {Precision::kF64, Precision::kInt16}) {
+    pic::SimulationConfig cfg;
+    cfg.particles_per_cell = 64;
+    cfg.nsteps = 16;  // bounds the history reserve
+    cfg.nthreads = 1;
+    phase_space::BinnerConfig bc;
+    bc.nx = 16;
+    bc.nv = 16;
+    MlpSpec spec;
+    spec.input_dim = bc.nx * bc.nv;
+    spec.output_dim = cfg.ncells;
+    spec.hidden = 32;
+    auto solver = std::make_shared<core::DlFieldSolver>(
+        build_mlp(spec), data::MinMaxNormalizer(0.0, 50.0), bc);
+    solver->context().set_precision(precision);
+    core::DlPicSimulation sim(cfg, solver);
+    sim.step();  // warm the workspace + history
 
-  const size_t before = g_alloc_count.load();
-  for (int i = 0; i < 5; ++i) sim.step();
-  const size_t after = g_alloc_count.load();
-  EXPECT_EQ(after - before, 0u) << "steady-state DL-PIC steps allocated";
+    const size_t before = g_alloc_count.load();
+    for (int i = 0; i < 5; ++i) sim.step();
+    const size_t after = g_alloc_count.load();
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state " << precision_name(precision) << " DL-PIC steps allocated";
+    if (is_quantized(precision)) {
+      const QuantizedWeightCache* cache = solver->context().weight_cache();
+      ASSERT_NE(cache, nullptr) << "int16 DL-PIC ran without a weight cache";
+      EXPECT_FALSE(cache->empty());
+    }
+  }
 }
 
 // The three interchangeable Poisson solvers reuse their work buffers: a

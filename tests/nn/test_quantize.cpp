@@ -4,7 +4,9 @@
 /// depth bounds (adversarial extreme operands checked against wide integer
 /// references, plus the explicit depth guards), bitwise identity of the
 /// integer GEMMs and the Dense/Conv2D quantized forwards across backends /
-/// worker counts / batch sizes, the precision-ladder monotonicity (int16
+/// worker counts / batch sizes, the weight-cache contract (a quantized
+/// forward without a matching cache entry throws), the precision-ladder
+/// monotonicity (int16
 /// at least as accurate as int8) and the MAE / max-error accuracy budget
 /// versus the f64 reference on trained surrogate models. The f64 path's
 /// own contracts are untouched and covered by test_backend_parity.cpp /
@@ -14,6 +16,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "math/rng.hpp"
@@ -38,6 +41,19 @@ std::vector<double> random_vec(size_t n, uint64_t seed, double lo = -1, double h
   std::vector<double> v(n);
   for (auto& x : v) x = rng.uniform(lo, hi);
   return v;
+}
+
+/// A weight cache holding one layer's [rows, k] weight matrix (Dense [out,
+/// in], Conv2D [oc, ic*kh*kw]) at the code width of `precision`.
+nn::QuantizedWeightCache layer_cache(const void* layer, const nn::Tensor& weight,
+                                     nn::Precision precision) {
+  nn::QuantizedWeightCache cache;
+  const size_t rows = weight.dim(0), cols = weight.size() / rows;
+  if (precision == nn::Precision::kInt16)
+    cache.put<int16_t>(layer, weight.data(), rows, cols);
+  else
+    cache.put<int8_t>(layer, weight.data(), rows, cols);
+  return cache;
 }
 
 double row_roundtrip_err(const double* x, const int8_t* q, double s, size_t cols) {
@@ -193,11 +209,13 @@ TEST(Int8Dense, BatchSizeAndWorkerCountInvariantBitwise) {
   math::Rng rng(31);
   nn::Dense dense(61, 23, rng);
   const auto xf = random_vec(8 * 61, 33, -1.5, 1.5);
+  const auto cache = layer_cache(&dense, dense.weight(), nn::Precision::kInt8);
 
   auto forward_rows = [&](size_t batch, size_t workers) {
     util::ScopedMaxWorkers width(workers);
     nn::ExecutionContext ctx;
     ctx.set_precision(nn::Precision::kInt8);
+    ctx.set_weight_cache(&cache);
     nn::Tensor x({batch, size_t{61}});
     std::copy(xf.begin(), xf.begin() + batch * 61, x.data());
     return dense.forward(ctx, x, false).vec();
@@ -244,14 +262,14 @@ TEST(QuantizedWeightCache, BuildsEveryDenseLayerAndSupportsLookup) {
   size_t found = 0;
   for (size_t i = 0; i < mlp.layer_count(); ++i)
     if (auto* dense = dynamic_cast<nn::Dense*>(&mlp.layer(i))) {
-      const nn::QuantizedMatrix* entry = cache.find(dense);
+      const nn::QuantizedMatrix* entry = cache.find<int8_t>(dense);
       ASSERT_NE(entry, nullptr);
       EXPECT_EQ(entry->rows, dense->out_features());
       EXPECT_EQ(entry->cols, dense->in_features());
       ++found;
     }
   EXPECT_EQ(found, cache.size());
-  EXPECT_EQ(cache.find(&mlp), nullptr);
+  EXPECT_EQ(cache.find<int8_t>(&mlp), nullptr);
 
   // Residual blocks contribute their inner/outer dense pair.
   nn::ResMlpSpec rspec;
@@ -341,15 +359,22 @@ TEST(Int8Accuracy, TrainedSurrogateWithinDocumentedBudget) {
   EXPECT_LE(mae, 0.03 * rms) << "int8 MAE budget exceeded (rms=" << rms << ")";
   EXPECT_LE(max_err, 0.15 * rms) << "int8 max-error budget exceeded (rms=" << rms << ")";
 
-  // The fallback path (no weight cache: fast-quantized weights) must also
-  // land inside the same budget — it only loses the precise scale search.
-  nn::ExecutionContext fallback_ctx;
-  fallback_ctx.set_precision(nn::Precision::kInt8);
-  const nn::Tensor& fq = model.predict(fallback_ctx, xb);
-  double fmae = 0.0;
-  for (size_t i = 0; i < ref.size(); ++i) fmae += std::fabs(ref.data()[i] - fq.data()[i]);
-  fmae /= static_cast<double>(ref.size());
-  EXPECT_LE(fmae, 0.03 * rms);
+  // The int16 tier through its own cache sits inside the same budget and
+  // no less accurate; without a cache a quantized forward refuses to run.
+  nn::QuantizedWeightCache cache16;
+  cache16.build(model, nn::Precision::kInt16);
+  nn::ExecutionContext int16_ctx;
+  int16_ctx.set_precision(nn::Precision::kInt16);
+  int16_ctx.set_weight_cache(&cache16);
+  const nn::Tensor& q16 = model.predict(int16_ctx, xb);
+  double mae16 = 0.0;
+  for (size_t i = 0; i < ref.size(); ++i) mae16 += std::fabs(ref.data()[i] - q16.data()[i]);
+  mae16 /= static_cast<double>(ref.size());
+  EXPECT_LE(mae16, mae);
+
+  nn::ExecutionContext uncached_ctx;
+  uncached_ctx.set_precision(nn::Precision::kInt8);
+  EXPECT_THROW(model.predict(uncached_ctx, xb), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,8 +384,10 @@ TEST(Int8Accuracy, TrainedSurrogateWithinDocumentedBudget) {
 TEST(Int8Dense, SteadyStateForwardIsAllocationFree) {
   math::Rng rng(51);
   nn::Dense dense(64, 32, rng);
+  const auto cache = layer_cache(&dense, dense.weight(), nn::Precision::kInt8);
   nn::ExecutionContext ctx(/*worker_cap=*/1);  // inline: no pool-task churn
   ctx.set_precision(nn::Precision::kInt8);
+  ctx.set_weight_cache(&cache);
   nn::Tensor x({16, size_t{64}});
   for (size_t i = 0; i < x.size(); ++i) x[i] = rng.uniform(-1, 1);
   dense.forward(ctx, x, false);  // warm-up allocates the workspace slots
@@ -390,15 +417,6 @@ TEST(Precision, NamesRoundTripAndUnknownThrows) {
 // ---------------------------------------------------------------------------
 // Int16 per-row quantization.
 
-double row_roundtrip_err16(const double* x, const int16_t* q, double s, size_t cols) {
-  double err = 0.0;
-  for (size_t c = 0; c < cols; ++c) {
-    const double d = x[c] - s * static_cast<double>(q[c]);
-    err += d * d;
-  }
-  return err;
-}
-
 TEST(QuantizeFast16, PerRowScaleCodesAndRoundTrip) {
   const size_t rows = 5, cols = 67;
   auto src = random_vec(rows * cols, 61, -3.0, 3.0);
@@ -424,25 +442,6 @@ TEST(QuantizeFast16, PerRowScaleCodesAndRoundTrip) {
                 scales[r] * 0.5 + 1e-15)
           << "row " << r << " col " << c;
     }
-  }
-}
-
-TEST(QuantizePrecise16, NeverWorseThanFastPath) {
-  const size_t rows = 9, cols = 83;
-  const auto src = random_vec(rows * cols, 63, -2.0, 2.0);
-  std::vector<int16_t> qf(rows * cols);
-  std::vector<double> sf(rows);
-  nn::quantize_rows_fast_i16(src.data(), rows, cols, qf.data(), sf.data());
-  nn::QuantizedMatrix16 precise;
-  nn::quantize_rows_precise_i16(src.data(), rows, cols, precise);
-  ASSERT_EQ(precise.rows, rows);
-  ASSERT_EQ(precise.cols, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    const double fast_err =
-        row_roundtrip_err16(src.data() + r * cols, qf.data() + r * cols, sf[r], cols);
-    const double precise_err = row_roundtrip_err16(
-        src.data() + r * cols, precise.q.data() + r * cols, precise.scales[r], cols);
-    EXPECT_LE(precise_err, fast_err + 1e-15) << "row " << r;
   }
 }
 
@@ -529,11 +528,13 @@ TEST(Int16Dense, BatchSizeAndWorkerCountInvariantBitwiseAndTrainingThrows) {
   math::Rng rng(73);
   nn::Dense dense(61, 23, rng);
   const auto xf = random_vec(8 * 61, 74, -1.5, 1.5);
+  const auto cache = layer_cache(&dense, dense.weight(), nn::Precision::kInt16);
 
   auto forward_rows = [&](size_t batch, size_t workers) {
     util::ScopedMaxWorkers width(workers);
     nn::ExecutionContext ctx;
     ctx.set_precision(nn::Precision::kInt16);
+    ctx.set_weight_cache(&cache);
     nn::Tensor x({batch, size_t{61}});
     std::copy(xf.begin(), xf.begin() + batch * 61, x.data());
     return dense.forward(ctx, x, false).vec();
@@ -582,15 +583,18 @@ nn::Tensor conv_input(size_t n, size_t ch, size_t h, size_t w, uint64_t seed) {
   return x;
 }
 
+/// One quantized conv forward; `cache` defaults to the layer's own filter
+/// codes at `precision`.
 std::vector<double> run_conv_quantized(nn::Conv2D& conv, const nn::Tensor& x,
                                        nn::Precision precision,
                                        const nn::KernelBackend* be, size_t workers,
                                        const nn::QuantizedWeightCache* cache = nullptr) {
+  const auto own = layer_cache(&conv, conv.weight(), precision);
   util::ScopedMaxWorkers width(workers);
   nn::ExecutionContext ctx;
   ctx.set_precision(precision);
   ctx.set_backend(be);
-  ctx.set_weight_cache(cache);
+  ctx.set_weight_cache(cache != nullptr ? cache : &own);
   return conv.forward(ctx, x, false).vec();
 }
 
@@ -641,20 +645,20 @@ TEST(QuantizedConv, CachedWeightsAreUsedAndShapeChecked) {
   nn::Conv2D conv(cfg, rng);
   const nn::Tensor x = conv_input(2, cfg.in_channels, 8, 8, 86);
 
-  // Precise cache vs fast fallback: both valid, generally different bits
-  // (the precise scale search picks different codes); the cache must
-  // actually be consulted.
-  nn::QuantizedWeightCache cache;
+  // The forward takes its filter codes from the cache, not from the layer:
+  // all-zero cached codes leave just the bias in every output pixel.
   const size_t krows = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
-  cache.put(&conv, conv.weight().data(), cfg.out_channels, krows);
-  const auto cached =
-      run_conv_quantized(conv, x, nn::Precision::kInt8, nullptr, 1, &cache);
-  const auto fallback = run_conv_quantized(conv, x, nn::Precision::kInt8, nullptr, 1);
-  ASSERT_EQ(cached.size(), fallback.size());  // same shape either way
+  const std::vector<double> zeros(cfg.out_channels * krows, 0.0);
+  nn::QuantizedWeightCache zero_cache;
+  zero_cache.put<int8_t>(&conv, zeros.data(), cfg.out_channels, krows);
+  const auto out = run_conv_quantized(conv, x, nn::Precision::kInt8, nullptr, 1, &zero_cache);
+  const size_t plane = out.size() / (x.dim(0) * cfg.out_channels);
+  for (size_t i = 0; i < out.size(); ++i)
+    ASSERT_EQ(out[i], conv.bias()[(i / plane) % cfg.out_channels]) << "element " << i;
 
   // A wrong-shape cache entry is a logic error, not silent corruption.
   nn::QuantizedWeightCache bad;
-  bad.put(&conv, conv.weight().data(), 1, 1);
+  bad.put<int8_t>(&conv, conv.weight().data(), 1, 1);
   nn::ExecutionContext ctx;
   ctx.set_precision(nn::Precision::kInt8);
   ctx.set_weight_cache(&bad);
@@ -681,8 +685,10 @@ TEST(QuantizedConv, SteadyStateForwardIsAllocationFree) {
   nn::Conv2D conv(cfg, rng);
   const nn::Tensor x = conv_input(4, cfg.in_channels, 8, 8, 90);
   for (const nn::Precision precision : {nn::Precision::kInt8, nn::Precision::kInt16}) {
+    const auto cache = layer_cache(&conv, conv.weight(), precision);
     nn::ExecutionContext ctx(/*worker_cap=*/1);
     ctx.set_precision(precision);
+    ctx.set_weight_cache(&cache);
     conv.forward(ctx, x, false);  // warm-up allocates the workspace slots
     const size_t before = ctx.workspace().bytes();
     for (int pass = 0; pass < 8; ++pass) conv.forward(ctx, x, false);
@@ -724,16 +730,72 @@ TEST(QuantizedWeightCache, BuildsEveryConvAndDenseLayerAtBothWidths) {
     if (auto* conv = dynamic_cast<nn::Conv2D*>(&cnn.layer(i))) {
       const size_t krows = conv->config().in_channels * conv->config().kernel_h *
                            conv->config().kernel_w;
-      const nn::QuantizedMatrix* e8 = cache8.find(conv);
+      const nn::QuantizedMatrix* e8 = cache8.find<int8_t>(conv);
       ASSERT_NE(e8, nullptr);
       EXPECT_EQ(e8->rows, conv->config().out_channels);
       EXPECT_EQ(e8->cols, krows);
-      EXPECT_EQ(cache8.find_i16(conv), nullptr);  // int8 build: no int16 entries
-      const nn::QuantizedMatrix16* e16 = cache16.find_i16(conv);
+      EXPECT_EQ(cache8.find<int16_t>(conv), nullptr);  // int8 build: no int16 entries
+      const nn::QuantizedMatrix16* e16 = cache16.find<int16_t>(conv);
       ASSERT_NE(e16, nullptr);
       EXPECT_EQ(e16->rows, conv->config().out_channels);
       EXPECT_EQ(e16->cols, krows);
     }
+}
+
+// Int16 entries are the single-pass codes: scale = absmax / 32767, exactly
+// what quantize_rows_fast_i16 produces (the 15-bit grid leaves a scale
+// search almost nothing to gain, so the cache does not run one).
+TEST(QuantizedWeightCache, Int16EntriesAreTheSinglePassCodes) {
+  math::Rng rng(96);
+  nn::Dense dense(37, 11, rng);
+  const auto cache = layer_cache(&dense, dense.weight(), nn::Precision::kInt16);
+  const nn::QuantizedMatrix16* entry = cache.find<int16_t>(&dense);
+  ASSERT_NE(entry, nullptr);
+  std::vector<int16_t> q(11 * 37);
+  std::vector<double> scales(11);
+  nn::quantize_rows_fast_i16(dense.weight().data(), 11, 37, q.data(), scales.data());
+  EXPECT_EQ(entry->q, q);
+  EXPECT_EQ(entry->scales, scales);
+}
+
+// A quantized forward never quantizes weights itself: with no cache, or a
+// cache built at the other code width, Dense and Conv2D throw
+// std::logic_error naming the layer type and the precision.
+TEST(QuantizedWeightCache, MissThrowsLogicErrorForDenseAndConv) {
+  math::Rng rng(98);
+  nn::Dense dense(12, 5, rng);
+  nn::Conv2DConfig cfg;
+  cfg.in_channels = 2;
+  cfg.out_channels = 3;
+  nn::Conv2D conv(cfg, rng);
+  const nn::Tensor xd({2, size_t{12}});
+  const nn::Tensor xc = conv_input(2, cfg.in_channels, 6, 6, 99);
+
+  auto expect_miss = [](nn::Layer& layer, const nn::Tensor& x, nn::Precision precision,
+                        const nn::QuantizedWeightCache* cache, const std::string& type) {
+    nn::ExecutionContext ctx;
+    ctx.set_precision(precision);
+    ctx.set_weight_cache(cache);
+    try {
+      layer.forward(ctx, x, false);
+      ADD_FAILURE() << type << " " << nn::precision_name(precision) << " forward ran "
+                    << (cache == nullptr ? "without a cache" : "on a cache miss");
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(type), std::string::npos) << what;
+      EXPECT_NE(what.find(nn::precision_name(precision)), std::string::npos) << what;
+    }
+  };
+  for (const nn::Precision precision : {nn::Precision::kInt8, nn::Precision::kInt16}) {
+    const nn::Precision other =
+        precision == nn::Precision::kInt8 ? nn::Precision::kInt16 : nn::Precision::kInt8;
+    const auto dense_other = layer_cache(&dense, dense.weight(), other);
+    const auto conv_other = layer_cache(&conv, conv.weight(), other);
+    expect_miss(dense, xd, precision, nullptr, "Dense");
+    expect_miss(dense, xd, precision, &dense_other, "Dense");
+    expect_miss(conv, xc, precision, nullptr, "Conv2D");
+    expect_miss(conv, xc, precision, &conv_other, "Conv2D");
+  }
 }
 
 TEST(ValidateQuantizable, NamesModelAndOffendingLayer) {
@@ -767,7 +829,7 @@ TEST(ValidateQuantizable, NamesModelAndOffendingLayer) {
 
 // ---------------------------------------------------------------------------
 // Precision-ladder monotonicity on a trained conv surrogate: int16 must be
-// at least as accurate as int8 (both through their precise caches), and
+// at least as accurate as int8 (both through their weight caches), and
 // both must sit inside the documented budget.
 
 TEST(PrecisionLadder, Int16AtLeastAsAccurateAsInt8OnTrainedCnn) {

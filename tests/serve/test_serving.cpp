@@ -501,6 +501,43 @@ TEST(DlFieldSolverServing, SpeciesOverloadMatchesSolve) {
   EXPECT_EQ(solver.solve_async(s).get(), expected);
 }
 
+// solve_async(const Species&) may be called from several threads on one
+// solver: binning shares no mutable state between calls (the binner
+// publishes each call's clamp count once), and every served result is
+// bitwise the serial solve of the same phase space.
+TEST(DlFieldSolverServing, ConcurrentSpeciesSolvesMatchSerialBitwise) {
+  phase_space::BinnerConfig bc;
+  bc.nx = 8;
+  bc.nv = 8;
+  core::DlFieldSolver solver(make_model(19), data::MinMaxNormalizer(0.0, 10.0), bc);
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 8;
+  std::vector<pic::Species> species;
+  std::vector<std::vector<double>> expected;
+  math::Rng rng(23);
+  for (size_t t = 0; t < kThreads; ++t) {
+    pic::Species s("e", -1.0, 1.0);
+    // v spans past [vmin, vmax], so every bin() call clamps some particles.
+    for (int i = 0; i < 2000; ++i) s.add(rng.uniform(0.0, bc.length), rng.uniform(-0.9, 0.9));
+    expected.push_back(solver.solve(s));
+    species.push_back(std::move(s));
+  }
+
+  solver.start_serving();
+  std::vector<std::vector<std::vector<double>>> served(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < kPerThread; ++k)
+        served[t].push_back(solver.solve_async(species[t]).get());
+    });
+  for (auto& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(served[t].size(), kPerThread);
+    for (const auto& E : served[t]) EXPECT_EQ(E, expected[t]) << "thread " << t;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Per-lane precision: one model served through two bundles, one f64 and one
 // int8. The f64 bundle keeps the bitwise batched == serial contract; the
@@ -596,7 +633,7 @@ TEST(InferenceServer, ThreeLanePrecisionLadderOnConvModel) {
   auto samples = make_samples(kSamples, 317);
   const auto expected_f64 = serial_reference(model, samples);
 
-  // Serial quantized references: the same precise cache construction the
+  // Serial quantized references: the same cache construction the
   // registry performs at add_model, on fully serial contexts.
   auto serial_quantized = [&](nn::Precision precision) {
     nn::QuantizedWeightCache cache;
