@@ -108,8 +108,9 @@ void bench_dense_forward(benchmark::State& state) {
   math::Rng rng(889);
   nn::Dense layer(width, width, rng);
   auto x = random_tensor({64, width}, 1);
+  nn::ExecutionContext ctx;
   for (auto _ : state) {
-    auto y = layer.forward(x, false);
+    auto y = layer.forward(ctx, x, false);
     benchmark::DoNotOptimize(y.data());
   }
   // One forward GEMM: 2 * batch * in * out FLOPs.
@@ -122,11 +123,12 @@ void bench_dense_backward(benchmark::State& state) {
   math::Rng rng(890);
   nn::Dense layer(width, width, rng);
   auto x = random_tensor({64, width}, 2);
-  auto y = layer.forward(x, true);
+  nn::ExecutionContext ctx;
+  auto y = layer.forward(ctx, x, true);
   auto g = random_tensor(y.shape(), 3);
   for (auto _ : state) {
     layer.zero_grad();
-    auto gin = layer.backward(g);
+    auto gin = layer.backward(ctx, g);
     benchmark::DoNotOptimize(gin.data());
   }
   // Two backward GEMMs (dX and dW): 4 * batch * in * out FLOPs.
@@ -142,8 +144,9 @@ void bench_conv_forward(benchmark::State& state) {
   cfg.out_channels = 8;
   nn::Conv2D layer(cfg, rng);
   auto x = random_tensor({8, 8, hw, hw}, 4);
+  nn::ExecutionContext ctx;
   for (auto _ : state) {
-    auto y = layer.forward(x, false);
+    auto y = layer.forward(ctx, x, false);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -155,8 +158,9 @@ void bench_mlp_inference_ci(benchmark::State& state) {
   spec.hidden = 128;
   auto model = nn::build_mlp(spec);
   auto x = random_tensor({1, spec.input_dim}, 5);
+  nn::ExecutionContext ctx;
   for (auto _ : state) {
-    auto y = model.predict(x);
+    auto y = model.predict(ctx, x);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -165,8 +169,9 @@ void bench_mlp_inference_paper(benchmark::State& state) {
   nn::MlpSpec spec;  // paper scale: 4096 -> 3x1024 -> 64
   auto model = nn::build_mlp(spec);
   auto x = random_tensor({1, spec.input_dim}, 6);
+  nn::ExecutionContext ctx;
   for (auto _ : state) {
-    auto y = model.predict(x);
+    auto y = model.predict(ctx, x);
     benchmark::DoNotOptimize(y.data());
   }
 }
@@ -181,8 +186,9 @@ void bench_cnn_inference_ci(benchmark::State& state) {
   spec.hidden = 64;
   auto model = nn::build_cnn(spec);
   auto x = random_tensor({1, spec.input_h * spec.input_w}, 7);
+  nn::ExecutionContext ctx;
   for (auto _ : state) {
-    auto y = model.predict(x);
+    auto y = model.predict(ctx, x);
     benchmark::DoNotOptimize(y.data());
   }
 }

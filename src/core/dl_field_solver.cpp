@@ -1,8 +1,6 @@
 #include "core/dl_field_solver.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -31,28 +29,8 @@ DlFieldSolver::DlFieldSolver(nn::Sequential model, data::MinMaxNormalizer normal
   (void)model_.output_shape({1, input_dim});  // throws when incompatible
 }
 
-void DlFieldSolver::ensure_unregistered(const char* what) const noexcept {
-  if (shared_server_ == nullptr) return;
-  // A shared-server registration cannot be withdrawn: the server holds raw
-  // pointers into this solver's model and normalizer, so completing the
-  // move would leave it serving a moved-from (gutted) model. Corrupting a
-  // live serving bundle is unrecoverable — fail loudly instead.
-  std::fprintf(stderr,
-               "DlFieldSolver: %s while registered on a shared server (bundle id %zu) "
-               "would leave the server serving a moved-from model; shut the shared "
-               "server down first\n",
-               what, model_id_);
-  std::terminate();
-}
-
 DlFieldSolver::DlFieldSolver(DlFieldSolver&& other) noexcept
-    // A running private server references other's members, so it must be
-    // drained and destroyed before any member is moved from (hence the
-    // comma expression in the first initializer); it cannot be transferred.
-    // A shared registration cannot even be withdrawn — moving a registered
-    // solver terminates (see ensure_unregistered).
-    : model_((other.ensure_unregistered("moving a solver"), other.stop_serving(),
-              std::move(other.model_))),
+    : model_(std::move(other.model_)),
       normalizer_(other.normalizer_),
       binner_(std::move(other.binner_)),
       ctx_(std::move(other.ctx_)),
@@ -65,12 +43,6 @@ DlFieldSolver::DlFieldSolver(DlFieldSolver&& other) noexcept
 
 DlFieldSolver& DlFieldSolver::operator=(DlFieldSolver&& other) noexcept {
   if (this == &other) return *this;
-  // Both ends are hazards: moving *from* a registered solver guts the model
-  // the shared server serves; assigning *over* one replaces it just the same.
-  other.ensure_unregistered("moving a solver");
-  ensure_unregistered("assigning over a solver");
-  stop_serving();
-  other.stop_serving();
   model_ = std::move(other.model_);
   normalizer_ = other.normalizer_;
   binner_ = std::move(other.binner_);
@@ -112,51 +84,6 @@ const nn::Tensor& DlFieldSolver::infer(nn::Tensor& x) {
   return model_.predict(ctx_, x);
 }
 
-serve::InferenceServer& DlFieldSolver::start_serving(const serve::ServerConfig& config) {
-  stop_serving();
-  server_ = std::make_unique<serve::InferenceServer>(model_, binner_.size(), config,
-                                                     &normalizer_);
-  model_id_ = 0;
-  return *server_;
-}
-
-size_t DlFieldSolver::start_serving(serve::InferenceServer& shared, std::string name,
-                                    const serve::ModelConfig& config) {
-  stop_serving();
-  model_id_ = shared.add_model(std::move(name), model_, binner_.size(), config,
-                               &normalizer_);
-  shared_server_ = &shared;
-  return model_id_;
-}
-
-void DlFieldSolver::stop_serving() {
-  server_.reset();
-  // Shared mode is a registration, not a session: the bundle stays
-  // registered (and servable) on the shared server — only this solver's
-  // routing is dropped. The solver must still outlive the shared server.
-  shared_server_ = nullptr;
-  model_id_ = 0;
-}
-
-std::future<std::vector<double>> DlFieldSolver::solve_async(
-    std::vector<double> histogram, serve::Priority priority,
-    std::chrono::steady_clock::time_point deadline) {
-  serve::InferenceServer* backend = server();
-  if (backend == nullptr)
-    throw std::runtime_error("DlFieldSolver::solve_async: call start_serving() first");
-  serve::SubmitOptions options;
-  options.model_id = model_id_;
-  options.priority = priority;
-  options.deadline = deadline;
-  return backend->submit(std::move(histogram), options);
-}
-
-std::future<std::vector<double>> DlFieldSolver::solve_async(
-    const pic::Species& electrons, serve::Priority priority,
-    std::chrono::steady_clock::time_point deadline) {
-  return solve_async(binner_.bin(electrons), priority, deadline);
-}
-
 std::vector<double> DlFieldSolver::solve_histogram(const std::vector<double>& histogram) {
   if (histogram.size() != binner_.size())
     throw std::invalid_argument("DlFieldSolver: histogram size mismatch");
@@ -193,8 +120,11 @@ DlFieldSolver DlFieldSolver::load(const std::string& path) {
   bc.length = r.read_f64();
   bc.vmin = r.read_f64();
   bc.vmax = r.read_f64();
-  bc.order = r.read_u32() == 0 ? phase_space::BinningOrder::NGP
-                               : phase_space::BinningOrder::CIC;
+  const uint32_t order = r.read_u32();
+  if (order > 1)
+    throw std::runtime_error("DlFieldSolver::load: bad binning order " +
+                             std::to_string(order) + " in " + path);
+  bc.order = order == 0 ? phase_space::BinningOrder::NGP : phase_space::BinningOrder::CIC;
   auto normalizer = data::MinMaxNormalizer::load(r);
   auto model = nn::Sequential::load_file(model_path_for(path));
   return DlFieldSolver(std::move(model), normalizer, bc);

@@ -21,15 +21,6 @@ DynamicBatcher::DynamicBatcher(const ModelRegistry& registry,
                                nn::ExecutionContext& context)
     : registry_(registry), ctx_(context) {}
 
-DynamicBatcher::DynamicBatcher(nn::Sequential& model, nn::ExecutionContext& context,
-                               size_t input_dim, BatcherConfig config,
-                               const data::MinMaxNormalizer* normalizer)
-    : owned_registry_(std::make_unique<ModelRegistry>()),
-      registry_(*owned_registry_),
-      ctx_(context) {
-  owned_registry_->add("default", &model, nullptr, input_dim, config, normalizer);
-}
-
 size_t DynamicBatcher::serve_once(RequestQueue& queue) {
   registry_.snapshot_policies(policies_);
   if (policies_.empty()) {

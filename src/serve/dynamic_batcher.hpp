@@ -16,21 +16,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "data/normalizer.hpp"
 #include "nn/execution_context.hpp"
-#include "nn/sequential.hpp"
 #include "serve/metrics.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/request_queue.hpp"
 
 namespace dlpic::serve {
-
-/// Batch-formation policy of one model (historical name; the single-model
-/// constructor and InferenceServer's per-model configs share this shape).
-using BatcherConfig = ModelConfig;
 
 /// One serving loop body: pop a single-model batch, reject expired requests,
 /// assemble the batch tensor in the context's workspace (allocation-free in
@@ -40,19 +33,12 @@ using BatcherConfig = ModelConfig;
 /// in this batcher's ExecutionContext.
 class DynamicBatcher {
  public:
-  /// Multi-model form: serves whichever registered model the queue opens a
-  /// batch for. The registry (and every model in it) must outlive the
-  /// batcher.
+  /// Serves whichever registered model the queue opens a batch for; a
+  /// bundle's normalizer is applied to the assembled batch before inference
+  /// (elementwise, so batching preserves per-sample results). The registry
+  /// (and every model and normalizer in it) and the context must outlive
+  /// the batcher.
   DynamicBatcher(const ModelRegistry& registry, nn::ExecutionContext& context);
-
-  /// Single-model convenience: wraps `model` in a private one-entry
-  /// registry. `input_dim` is the flattened sample width the model expects;
-  /// a non-null `normalizer` is applied to the assembled batch before
-  /// inference (elementwise, so batching preserves per-sample results).
-  /// The model, context and normalizer must outlive the batcher.
-  DynamicBatcher(nn::Sequential& model, nn::ExecutionContext& context,
-                 size_t input_dim, BatcherConfig config,
-                 const data::MinMaxNormalizer* normalizer = nullptr);
 
   /// Pops one batch from `queue` and serves it (blocking per the selected
   /// model's batching window). Returns the number of requests popped
@@ -89,7 +75,6 @@ class DynamicBatcher {
   /// receives the exception (and its trace, if any, finishes kError).
   void run_batch(ModelBundle& bundle);
 
-  std::unique_ptr<ModelRegistry> owned_registry_;  // single-model ctor only
   const ModelRegistry& registry_;
   nn::ExecutionContext& ctx_;
   std::vector<Request> batch_;      // reused across serve_once calls

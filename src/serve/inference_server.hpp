@@ -40,7 +40,7 @@
 namespace dlpic::serve {
 
 /// Server tuning knobs: worker topology and backpressure, plus the default
-/// per-model batch-formation policy applied by the single-model constructors
+/// per-model batch-formation policy applied by the single-model constructor
 /// and by add_model() calls that do not pass their own ModelConfig.
 struct ServerConfig {
   /// Default ModelConfig::max_batch for models added without a config.
@@ -105,9 +105,13 @@ struct ServerStats {
 /// per-thread contexts over N shared models. Construction starts the
 /// workers; destruction (or shutdown()) closes the queue, drains every
 /// in-flight request and joins the workers — submitted futures are always
-/// fulfilled. Models may be registered before traffic or while the server is
-/// running (add_model), and each keeps its own batching policy and per-lane
-/// stats; a batch never mixes models.
+/// fulfilled. A model enters only by reference: add_model() (or the
+/// single-model constructor) takes a caller-owned nn::Sequential and an
+/// optional caller-owned normalizer, which must outlive the server. Models
+/// may be registered before traffic or while the server is running, and
+/// each keeps its own batching policy and per-lane stats; a batch never
+/// mixes models. A core::DlFieldSolver is served by registering its
+/// model() and a pointer to its normalizer().
 ///
 /// The kernel backend active on the constructing thread (the DLPIC_BACKEND
 /// default unless a nn::ScopedBackend override is in scope) is captured
@@ -132,11 +136,6 @@ class InferenceServer {
                   const ServerConfig& config = {},
                   const data::MinMaxNormalizer* normalizer = nullptr);
 
-  /// Takes ownership of `model` and serves it as model id 0 ("default").
-  InferenceServer(nn::Sequential&& model, size_t input_dim,
-                  const ServerConfig& config = {},
-                  const data::MinMaxNormalizer* normalizer = nullptr);
-
   /// Graceful shutdown (see shutdown()).
   ~InferenceServer();
 
@@ -155,11 +154,6 @@ class InferenceServer {
 
   /// add_model with the server config's default batching policy.
   size_t add_model(std::string name, nn::Sequential& model, size_t input_dim,
-                   const data::MinMaxNormalizer* normalizer = nullptr);
-
-  /// Owning add_model: the server keeps the model alive.
-  size_t add_model(std::string name, nn::Sequential&& model, size_t input_dim,
-                   const ModelConfig& config,
                    const data::MinMaxNormalizer* normalizer = nullptr);
 
   /// Enqueues one flattened sample for `options.model_id` on

@@ -21,11 +21,9 @@ void ModelBundle::requantize_weights() {
   quantized_weights = std::move(fresh);
 }
 
-size_t ModelRegistry::add(std::string name, nn::Sequential* model,
-                          std::unique_ptr<nn::Sequential> owned, size_t input_dim,
+size_t ModelRegistry::add(std::string name, nn::Sequential& model, size_t input_dim,
                           const ModelConfig& config,
                           const data::MinMaxNormalizer* normalizer) {
-  if (model == nullptr) throw std::invalid_argument("ModelRegistry: model must be non-null");
   if (name.empty()) throw std::invalid_argument("ModelRegistry: model name must be non-empty");
   if (input_dim == 0) throw std::invalid_argument("ModelRegistry: input_dim must be >= 1");
   if (config.max_batch == 0)
@@ -41,16 +39,15 @@ size_t ModelRegistry::add(std::string name, nn::Sequential* model,
     throw std::invalid_argument("ModelRegistry: pad_to_batch must be >= max_batch");
   // Validates the model/batch-shape combination up front instead of failing
   // inside a worker thread on the first request.
-  (void)model->output_shape({config.max_batch, input_dim});
+  (void)model.output_shape({config.max_batch, input_dim});
   // For quantized lanes, also reject unquantizable layers and GEMM-depth
   // violations here — with the model and layer named — instead of throwing
   // mid-batch on the first forward pass.
-  nn::validate_quantizable(*model, config.precision, name);
+  nn::validate_quantizable(model, config.precision, name);
 
   auto bundle = std::make_unique<ModelBundle>();
   bundle->name = std::move(name);
-  bundle->model = model;
-  bundle->owned = std::move(owned);
+  bundle->model = &model;
   bundle->normalizer = normalizer;
   bundle->input_dim = input_dim;
   bundle->config = config;

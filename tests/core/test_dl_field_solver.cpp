@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "core/dl_field_solver.hpp"
 #include "math/rng.hpp"
@@ -117,48 +119,33 @@ TEST(DlFieldSolver, SaveLoadRoundTripPredictsIdentically) {
   std::remove((path + ".model").c_str());
 }
 
-// Moving a solver that is still registered on a SHARED server must fail
-// loudly (std::terminate with a diagnostic) instead of leaving the server
-// serving a moved-from model. threadsafe style: the death-test child
-// re-execs the binary, so worker threads spawned by earlier tests (thread
-// pool, serving workers) cannot wedge the fork.
-TEST(DlFieldSolverDeathTest, MoveWhileRegisteredOnSharedServerTerminates) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        dlpic::serve::InferenceServer shared;
-        DlFieldSolver solver(tiny_model(64, 16), MinMaxNormalizer(0.0, 1.0), tiny_binner());
-        solver.start_serving(shared, "bundle");
-        DlFieldSolver stolen(std::move(solver));
-      },
-      "registered on a shared server");
+// The bundle's binning-order word is untrusted input: only 0 (NGP) and 1
+// (CIC) load; any other value is rejected instead of read as CIC.
+TEST(DlFieldSolver, LoadRejectsUnknownBinningOrder) {
+  DlFieldSolver solver(tiny_model(64, 16), MinMaxNormalizer(0.0, 1.0), tiny_binner());
+  const std::string path = testing::TempDir() + "/dlpic_solver_bad_order.bin";
+  solver.save(path);
+  {
+    // magic, version (u32 each), nx, nv (u64), length, vmin, vmax (f64).
+    constexpr long kOrderOffset = 4 + 4 + 8 + 8 + 8 + 8 + 8;
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const uint32_t bad_order = 7;
+    ASSERT_EQ(std::fseek(f, kOrderOffset, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&bad_order, sizeof bad_order, 1, f), 1u);
+    std::fclose(f);
+  }
+  EXPECT_THROW((void)DlFieldSolver::load(path), std::runtime_error);
+  std::remove(path.c_str());
+  std::remove((path + ".model").c_str());
 }
 
-TEST(DlFieldSolverDeathTest, MoveAssignOverRegisteredSolverTerminates) {
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        dlpic::serve::InferenceServer shared;
-        DlFieldSolver registered(tiny_model(64, 16), MinMaxNormalizer(0.0, 1.0),
-                                 tiny_binner());
-        registered.start_serving(shared, "bundle");
-        DlFieldSolver other(tiny_model(64, 16, 8), MinMaxNormalizer(0.0, 1.0),
-                            tiny_binner());
-        registered = std::move(other);
-      },
-      "registered on a shared server");
-}
-
-// The legal moves keep working: an unregistered solver (including one whose
-// PRIVATE serving session is active — stop_serving() handles that) moves
-// freely and predicts identically afterwards.
+// A moved solver predicts identically to the source before the move.
 TEST(DlFieldSolver, MoveOfUnregisteredSolverStillWorks) {
   DlFieldSolver solver(tiny_model(64, 16), MinMaxNormalizer(0.0, 10.0), tiny_binner());
   std::vector<double> hist(64, 1.0);
   const auto before = solver.solve_histogram(hist);
-  solver.start_serving();  // private mode: the move stops it first
   DlFieldSolver moved(std::move(solver));
-  EXPECT_FALSE(moved.serving());
   const auto after = moved.solve_histogram(hist);
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) EXPECT_EQ(before[i], after[i]);

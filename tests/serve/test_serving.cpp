@@ -5,9 +5,9 @@
 /// models), priority lanes and per-request deadlines (expired requests fail
 /// with DeadlineExpired and never buy a forward pass) — graceful shutdown
 /// serves every in-flight request, and the max_wait window flushes partial
-/// batches. Also covers the DlFieldSolver serving-backed modes (private
-/// server and shared multi-solver registration) against the synchronous
-/// path. The adversarial saturation soak lives in test_serving_stress.cpp.
+/// batches. Also serves DlFieldSolver models and normalizers and checks the
+/// served rows against each solver's synchronous path. The adversarial
+/// saturation soak lives in test_serving_stress.cpp.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,10 @@
 #include "nn/quantize.hpp"
 #include "nn/model_zoo.hpp"
 #include "nn/sequential.hpp"
+#include "phase_space/binner.hpp"
+#include "serve/dynamic_batcher.hpp"
 #include "serve/inference_server.hpp"
+#include "serve/model_registry.hpp"
 
 namespace {
 
@@ -172,18 +175,6 @@ TEST(InferenceServer, RejectsIncompatibleModelUpFront) {
   EXPECT_THROW(InferenceServer(model, kInputDim + 1), std::invalid_argument);
 }
 
-TEST(InferenceServer, OwningConstructorServes) {
-  auto samples = make_samples(2, 777);
-  auto reference_model = make_model(42);
-  const auto expected = serial_reference(reference_model, samples);
-
-  ServerConfig cfg;
-  cfg.max_wait_us = 0;  // serve immediately
-  InferenceServer server(make_model(42), kInputDim, cfg);
-  for (size_t i = 0; i < samples.size(); ++i)
-    EXPECT_EQ(server.submit(samples[i]).get(), expected[i]);
-}
-
 TEST(InferenceServer, ManySerialWorkersStayBitwiseExact) {
   // Thread-level scaling mode: 4 batcher threads, each context pinned
   // serial. Results must still match the serial reference exactly.
@@ -203,11 +194,16 @@ TEST(InferenceServer, ManySerialWorkersStayBitwiseExact) {
   for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
 }
 
+// Field solvers are served by registering their models and normalizers on
+// one server. Each bundle applies its own normalizer, and the served rows
+// are bitwise each solver's synchronous path.
 TEST(DlFieldSolverServing, AsyncMatchesSyncBitwise) {
   phase_space::BinnerConfig bc;
   bc.nx = 8;
   bc.nv = 8;
-  core::DlFieldSolver solver(make_model(11), data::MinMaxNormalizer(0.0, 100.0), bc);
+  core::DlFieldSolver solver_a(make_model(11), data::MinMaxNormalizer(0.0, 100.0), bc);
+  core::DlFieldSolver solver_b(make_model(12, kOutputDim + 8), data::MinMaxNormalizer(0.0, 50.0),
+                               bc);
 
   math::Rng rng(5);
   std::vector<std::vector<double>> histograms(12);
@@ -215,25 +211,32 @@ TEST(DlFieldSolverServing, AsyncMatchesSyncBitwise) {
     h.resize(bc.nx * bc.nv);
     for (auto& v : h) v = rng.uniform(0.0, 100.0);
   }
-  std::vector<std::vector<double>> expected;
-  for (const auto& h : histograms) expected.push_back(solver.solve_histogram(h));
-
-  EXPECT_THROW((void)solver.solve_async(histograms[0]), std::runtime_error);
+  std::vector<std::vector<double>> expected_a, expected_b;
+  for (const auto& h : histograms) {
+    expected_a.push_back(solver_a.solve_histogram(h));
+    expected_b.push_back(solver_b.solve_histogram(h));
+  }
 
   serve::ServerConfig cfg;
   cfg.max_batch = 4;
   cfg.max_wait_us = 10'000;
-  auto& server = solver.start_serving(cfg);
-  EXPECT_TRUE(solver.serving());
+  InferenceServer server(cfg);
+  serve::SubmitOptions a, b;
+  a.model_id = server.add_model("solver-a", solver_a.model(), bc.nx * bc.nv,
+                                &solver_a.normalizer());
+  b.model_id = server.add_model("solver-b", solver_b.model(), bc.nx * bc.nv,
+                                &solver_b.normalizer());
 
-  std::vector<std::future<std::vector<double>>> futures;
-  for (const auto& h : histograms) futures.push_back(solver.solve_async(h));
-  for (size_t i = 0; i < futures.size(); ++i) EXPECT_EQ(futures[i].get(), expected[i]);
-  EXPECT_GE(server.stats().requests, histograms.size());
-
-  solver.stop_serving();
-  EXPECT_FALSE(solver.serving());
-  EXPECT_THROW((void)solver.solve_async(histograms[0]), std::runtime_error);
+  std::vector<std::future<std::vector<double>>> futures_a, futures_b;
+  for (const auto& h : histograms) {
+    futures_a.push_back(server.submit(h, a));
+    futures_b.push_back(server.submit(h, b));
+  }
+  for (size_t i = 0; i < histograms.size(); ++i) {
+    EXPECT_EQ(futures_a[i].get(), expected_a[i]) << "solver a, histogram " << i;
+    EXPECT_EQ(futures_b[i].get(), expected_b[i]) << "solver b, histogram " << i;
+  }
+  EXPECT_EQ(server.stats().served, 2 * histograms.size());
 }
 
 TEST(DynamicBatcher, PaddingIsBitwiseNeutral) {
@@ -248,11 +251,13 @@ TEST(DynamicBatcher, PaddingIsBitwiseNeutral) {
     std::vector<std::future<std::vector<double>>> futures;
     for (const auto& s : samples) futures.push_back(queue.push(s));
     nn::ExecutionContext ctx(/*worker_cap=*/1);
-    serve::BatcherConfig bc;
-    bc.max_batch = 16;
-    bc.max_wait_us = 0;  // serve whatever is queued right now
-    bc.pad_to_batch = pad;
-    serve::DynamicBatcher batcher(model, ctx, kInputDim, bc);
+    serve::ModelConfig mc;
+    mc.max_batch = 16;
+    mc.max_wait_us = 0;  // serve whatever is queued right now
+    mc.pad_to_batch = pad;
+    serve::ModelRegistry registry;
+    registry.add("default", model, kInputDim, mc, nullptr);
+    serve::DynamicBatcher batcher(registry, ctx);
     EXPECT_EQ(batcher.serve_once(queue), samples.size());
     std::vector<std::vector<double>> out;
     for (auto& f : futures) out.push_back(f.get());
@@ -432,80 +437,12 @@ TEST(InferenceServer, AddModelWhileServingBecomesServable) {
     EXPECT_EQ(server.submit(samples[i], options).get(), expected_b[i]);
 }
 
-TEST(DlFieldSolverServing, SharedServerHostsSeveralSolvers) {
-  // Two field-solver bundles behind ONE server/worker pool: each solver's
-  // async path must match its own synchronous path bitwise.
-  phase_space::BinnerConfig bc;
-  bc.nx = 8;
-  bc.nv = 8;
-  core::DlFieldSolver solver_a(make_model(51, 16), data::MinMaxNormalizer(0.0, 100.0), bc);
-  core::DlFieldSolver solver_b(make_model(52, 24), data::MinMaxNormalizer(0.0, 50.0), bc);
-
-  math::Rng rng(9);
-  std::vector<std::vector<double>> histograms(10);
-  for (auto& h : histograms) {
-    h.resize(bc.nx * bc.nv);
-    for (auto& v : h) v = rng.uniform(0.0, 100.0);
-  }
-  std::vector<std::vector<double>> expected_a, expected_b;
-  for (const auto& h : histograms) {
-    expected_a.push_back(solver_a.solve_histogram(h));
-    expected_b.push_back(solver_b.solve_histogram(h));
-  }
-
-  serve::ServerConfig cfg;
-  cfg.worker_threads = 2;
-  serve::InferenceServer server(cfg);
-  serve::ModelConfig mc;
-  mc.max_batch = 4;
-  mc.max_wait_us = 2'000;
-  const size_t id_a = solver_a.start_serving(server, "solver-a", mc);
-  const size_t id_b = solver_b.start_serving(server, "solver-b", mc);
-  ASSERT_NE(id_a, id_b);
-  EXPECT_TRUE(solver_a.serving());
-  EXPECT_EQ(solver_a.server(), &server);
-  EXPECT_EQ(solver_a.serving_model_id(), id_a);
-
-  std::vector<std::future<std::vector<double>>> futures_a, futures_b;
-  for (const auto& h : histograms) {
-    futures_a.push_back(solver_a.solve_async(h, serve::Priority::kInteractive));
-    futures_b.push_back(solver_b.solve_async(h));
-  }
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    EXPECT_EQ(futures_a[i].get(), expected_a[i]) << "solver a, histogram " << i;
-    EXPECT_EQ(futures_b[i].get(), expected_b[i]) << "solver b, histogram " << i;
-  }
-  EXPECT_EQ(server.model_stats(id_a).served, histograms.size());
-  EXPECT_EQ(server.model_stats(id_b).served, histograms.size());
-
-  // Detaching drops the routing but leaves the bundle servable.
-  solver_a.stop_serving();
-  EXPECT_FALSE(solver_a.serving());
-  EXPECT_THROW((void)solver_a.solve_async(histograms[0]), std::runtime_error);
-  serve::SubmitOptions direct;
-  direct.model_id = id_a;
-  EXPECT_EQ(server.submit(histograms[0], direct).get(), expected_a[0]);
-}
-
-TEST(DlFieldSolverServing, SpeciesOverloadMatchesSolve) {
-  phase_space::BinnerConfig bc;
-  bc.nx = 8;
-  bc.nv = 8;
-  core::DlFieldSolver solver(make_model(13), data::MinMaxNormalizer(0.0, 10.0), bc);
-  pic::Species s("e", -1.0, 1.0);
-  math::Rng rng(17);
-  for (int i = 0; i < 500; ++i) s.add(rng.uniform(0.0, bc.length), rng.uniform(-0.5, 0.5));
-  const auto expected = solver.solve(s);
-
-  solver.start_serving();
-  EXPECT_EQ(solver.solve_async(s).get(), expected);
-}
-
-// solve_async(const Species&) may be called from several threads on one
-// solver: binning shares no mutable state between calls (the binner
-// publishes each call's clamp count once), and every served result is
-// bitwise the serial solve of the same phase space.
-TEST(DlFieldSolverServing, ConcurrentSpeciesSolvesMatchSerialBitwise) {
+// Binning shares no mutable state between calls (the binner publishes each
+// call's clamp count once), so several threads may bin on one const
+// PhaseSpaceBinner and submit to one server serving a solver's model; every
+// served result is bitwise the solver's serial solve of the same phase
+// space.
+TEST(DlFieldSolverServing, ConcurrentBinAndSubmitMatchSerialSolveBitwise) {
   phase_space::BinnerConfig bc;
   bc.nx = 8;
   bc.nv = 8;
@@ -523,15 +460,17 @@ TEST(DlFieldSolverServing, ConcurrentSpeciesSolvesMatchSerialBitwise) {
     species.push_back(std::move(s));
   }
 
-  solver.start_serving();
+  const phase_space::PhaseSpaceBinner binner(bc);
+  InferenceServer server(solver.model(), binner.size(), {}, &solver.normalizer());
   std::vector<std::vector<std::vector<double>>> served(kThreads);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
       for (size_t k = 0; k < kPerThread; ++k)
-        served[t].push_back(solver.solve_async(species[t]).get());
+        served[t].push_back(server.submit(binner.bin(species[t])).get());
     });
   for (auto& thread : threads) thread.join();
+  EXPECT_GT(binner.clamped_particles(), 0u);
   for (size_t t = 0; t < kThreads; ++t) {
     ASSERT_EQ(served[t].size(), kPerThread);
     for (const auto& E : served[t]) EXPECT_EQ(E, expected[t]) << "thread " << t;
