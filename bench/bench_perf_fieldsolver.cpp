@@ -101,11 +101,12 @@ void bench_tridiag(benchmark::State& s) { bench_traditional_stage(s, "tridiag");
 void bench_cg(benchmark::State& s) { bench_traditional_stage(s, "cg"); }
 
 // ---------------------------------------------------------------------------
-// FFT-size x backend axis. Arg(0) = transform size, Arg(1) = backend id
-// (0 scalar, 1 avx2). `bench_fft_legacy_radix2` reconstructs the pre-plan
-// transform — per-call twiddle recomputation, std::complex arithmetic, a
-// scratch allocation per real transform — as the in-file speedup reference:
-// CI gates bench_fft_legacy_radix2/1024 >= 1.5x bench_fft_rfft_planned/1024.
+// FFT-size axis: Arg(0) = transform size (the FFT uses no kernel backend,
+// so there is no backend axis). `bench_fft_legacy_radix2` reconstructs the
+// pre-plan transform — per-call twiddle recomputation, std::complex
+// arithmetic, a scratch allocation per real transform — as the in-file
+// speedup reference: CI gates bench_fft_legacy_radix2/1024 >= 1.5x
+// bench_fft_rfft_planned/1024.
 
 /// The textbook radix-2 the spectral solve used before plans: bit-reverse,
 /// then per-stage twiddles from std::polar on every call.
@@ -142,8 +143,6 @@ std::vector<double> random_signal(size_t n) {
 
 /// Legacy real transform: widen to complex (allocating) + per-call radix-2.
 void bench_fft_legacy_radix2(benchmark::State& state) {
-  benchjson::BackendGuard guard(state, 1);
-  if (!guard.run(state)) return;
   const size_t n = static_cast<size_t>(state.range(0));
   const auto sig = random_signal(n);
   for (auto _ : state) {
@@ -157,8 +156,6 @@ void bench_fft_legacy_radix2(benchmark::State& state) {
 
 /// Planned packed real transform — the spectral solve's production path.
 void bench_fft_rfft_planned(benchmark::State& state) {
-  benchjson::BackendGuard guard(state, 1);
-  if (!guard.run(state)) return;
   const size_t n = static_cast<size_t>(state.range(0));
   const auto sig = random_signal(n);
   const math::FftPlan& plan = math::get_fft_plan(n);
@@ -174,8 +171,6 @@ void bench_fft_rfft_planned(benchmark::State& state) {
 /// Planned complex transform (in-place), any size: the Bluestein sizes cost
 /// ~3 pow2 transforms of ~2n, visible as the n=1000 vs n=1024 gap.
 void bench_fft_forward_planned(benchmark::State& state) {
-  benchjson::BackendGuard guard(state, 1);
-  if (!guard.run(state)) return;
   const size_t n = static_cast<size_t>(state.range(0));
   const auto sig = random_signal(n);
   const math::FftPlan& plan = math::get_fft_plan(n);
@@ -196,11 +191,8 @@ BENCHMARK(bench_tridiag)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_cg)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(bench_dl_stage_paper_scale);
-BENCHMARK(bench_fft_legacy_radix2)
-    ->ArgsProduct({{64, 256, 1024, 4096}, {0, 1}});
-BENCHMARK(bench_fft_rfft_planned)
-    ->ArgsProduct({{64, 256, 1000, 1024, 4096}, {0, 1}});
-BENCHMARK(bench_fft_forward_planned)
-    ->ArgsProduct({{64, 256, 1000, 1024, 4096}, {0, 1}});
+BENCHMARK(bench_fft_legacy_radix2)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+BENCHMARK(bench_fft_rfft_planned)->Arg(64)->Arg(256)->Arg(1000)->Arg(1024)->Arg(4096);
+BENCHMARK(bench_fft_forward_planned)->Arg(64)->Arg(256)->Arg(1000)->Arg(1024)->Arg(4096);
 
 DLPIC_BENCHMARK_MAIN("perf_fieldsolver");

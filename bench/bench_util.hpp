@@ -5,6 +5,7 @@
 /// the paper's layout.
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,9 +23,14 @@ inline core::Preset resolve_preset(const util::Config& cfg) {
   return core::preset_by_name(name);
 }
 
-/// Artifacts directory: --artifacts=... or DLPIC_ARTIFACTS or ./artifacts.
+/// Artifacts directory: --artifacts=... or DLPIC_ARTIFACTS or ./artifacts,
+/// created when missing (as core::Pipeline does) so harnesses that write
+/// their CSVs straight into it run from any working directory.
 inline std::string resolve_artifacts(const util::Config& cfg) {
-  return cfg.get_or("artifacts", util::env_string_or("DLPIC_ARTIFACTS", "artifacts"));
+  std::string dir =
+      cfg.get_or("artifacts", util::env_string_or("DLPIC_ARTIFACTS", "artifacts"));
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 /// Prints a horizontal rule sized for the standard table width.

@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "nn/backend.hpp"
 #include "util/fault_injection.hpp"
 
 namespace dlpic::math {
@@ -44,6 +43,113 @@ size_t next_pow2(size_t n) {
   size_t m = 1;
   while (m < n) m <<= 1;
   return m;
+}
+
+// Butterfly kernels over interleaved complex doubles (re at 2i, im at
+// 2i+1; `n` counts complex elements). Every complex product is computed as
+// re = vr*wr - vi*wi, im = vr*wi + vi*wr with no FMA: the library is
+// compiled with -ffp-contract=off, and under GCC this file also without
+// auto-vectorization (CMakeLists.txt), so spectra are bit-identical across
+// the radix-4 / radix-2-only schedules on every -march.
+
+/// One radix-2 Cooley-Tukey stage in place: for every block of `len`,
+/// butterfly (u, v) pairs split at len/2 with v scaled by tw[k] (len/2
+/// interleaved entries).
+void radix2_pass(size_t n, size_t len, const double* tw, double* data) {
+  const size_t half = len / 2;
+  if (len == 2) {
+    // The only twiddle is exactly 1: skip the multiply so signed zeros in
+    // the input can never flip sign through a `* 0.0` term.
+    for (size_t i = 0; i < n; i += 2) {
+      double* p = data + 2 * i;
+      const double ur = p[0], ui = p[1];
+      const double vr = p[2], vi = p[3];
+      p[0] = ur + vr;
+      p[1] = ui + vi;
+      p[2] = ur - vr;
+      p[3] = ui - vi;
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; i += len) {
+    double* base = data + 2 * i;
+    for (size_t k = 0; k < half; ++k) {
+      const double wr = tw[2 * k], wi = tw[2 * k + 1];
+      double* u = base + 2 * k;
+      double* v = base + 2 * (k + half);
+      const double vr = v[0] * wr - v[1] * wi;
+      const double vi = v[0] * wi + v[1] * wr;
+      const double ur = u[0], ui = u[1];
+      u[0] = ur + vr;
+      u[1] = ui + vi;
+      v[0] = ur - vr;
+      v[1] = ui - vi;
+    }
+  }
+}
+
+/// Two fused radix-2 stages (spans len/2 then len): 4-point butterflies at
+/// strides q = len/4 using three interleaved twiddle tables of q entries
+/// each — twA = tw_{len/2}[0..q), twB = tw_len[0..q), twC = tw_len[q..2q).
+/// Bitwise identical to radix2_pass(len/2) followed by radix2_pass(len) on
+/// the same tables (q == 1 therefore skips the twA multiply like a len == 2
+/// stage).
+void radix4_pass(size_t n, size_t len, const double* twA, const double* twB,
+                 const double* twC, double* data) {
+  const size_t q = len / 4;
+  for (size_t i = 0; i < n; i += len) {
+    double* base = data + 2 * i;
+    for (size_t k = 0; k < q; ++k) {
+      double* p0 = base + 2 * k;
+      double* p1 = base + 2 * (k + q);
+      double* p2 = base + 2 * (k + 2 * q);
+      double* p3 = base + 2 * (k + 3 * q);
+      // Stage len/2: butterflies (p0, p1) and (p2, p3) with twiddle twA[k].
+      double t1r, t1i, t3r, t3i;
+      if (q == 1) {
+        // twA is the unit twiddle of a len == 2 stage: no multiply.
+        t1r = p1[0], t1i = p1[1];
+        t3r = p3[0], t3i = p3[1];
+      } else {
+        const double ar = twA[2 * k], ai = twA[2 * k + 1];
+        t1r = p1[0] * ar - p1[1] * ai;
+        t1i = p1[0] * ai + p1[1] * ar;
+        t3r = p3[0] * ar - p3[1] * ai;
+        t3i = p3[0] * ai + p3[1] * ar;
+      }
+      const double u0r = p0[0] + t1r, u0i = p0[1] + t1i;
+      const double u1r = p0[0] - t1r, u1i = p0[1] - t1i;
+      const double u2r = p2[0] + t3r, u2i = p2[1] + t3i;
+      const double u3r = p2[0] - t3r, u3i = p2[1] - t3i;
+      // Stage len: butterflies (u0, u2) with twB[k] and (u1, u3) with twC[k].
+      const double br = twB[2 * k], bi = twB[2 * k + 1];
+      const double v2r = u2r * br - u2i * bi;
+      const double v2i = u2r * bi + u2i * br;
+      const double cr = twC[2 * k], ci = twC[2 * k + 1];
+      const double v3r = u3r * cr - u3i * ci;
+      const double v3i = u3r * ci + u3i * cr;
+      p0[0] = u0r + v2r;
+      p0[1] = u0i + v2i;
+      p1[0] = u1r + v3r;
+      p1[1] = u1i + v3i;
+      p2[0] = u0r - v2r;
+      p2[1] = u0i - v2i;
+      p3[0] = u1r - v3r;
+      p3[1] = u1i - v3i;
+    }
+  }
+}
+
+/// Pointwise complex product out[i] = a[i] * b[i] over n interleaved
+/// complex elements (the Bluestein chirp/convolution multiplies). out may
+/// alias a.
+void cplx_mul(size_t n, const double* a, const double* b, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const double ar = a[2 * i], ai = a[2 * i + 1];
+    const double br = b[2 * i], bi = b[2 * i + 1];
+    out[2 * i] = ar * br - ai * bi;
+    out[2 * i + 1] = ar * bi + ai * br;
+  }
 }
 
 // Per-thread grow-only scratch. The Bluestein convolution buffer is safe to
@@ -185,14 +291,13 @@ void FftPlan::execute(double* data, bool inverse_tables) const {
     }
   }
   const std::vector<double>& tw = inverse_tables ? tw_inv_ : tw_fwd_;
-  const nn::KernelBackend& be = nn::active_backend();
   for (const Pass& p : passes_) {
     const double* t = tw.data() + p.tw_offset;
     if (p.radix4) {
       const size_t q = p.len / 4;
-      be.fft_radix4_pass(n_, p.len, t, t + 2 * q, t + 4 * q, data);
+      radix4_pass(n_, p.len, t, t + 2 * q, t + 4 * q, data);
     } else {
-      be.fft_radix2_pass(n_, p.len, t, data);
+      radix2_pass(n_, p.len, t, data);
     }
   }
 }
@@ -201,13 +306,12 @@ void FftPlan::bluestein_run(double* data, const std::vector<double>& chirp,
                             const std::vector<double>& fb, double scale) const {
   const size_t m = inner_->size();
   double* a = bluestein_scratch(2 * m);
-  const nn::KernelBackend& be = nn::active_backend();
-  be.cplx_mul(n_, data, chirp.data(), a);
+  cplx_mul(n_, data, chirp.data(), a);
   std::fill(a + 2 * n_, a + 2 * m, 0.0);
   inner_->forward(reinterpret_cast<cplx*>(a));
-  be.cplx_mul(m, a, fb.data(), a);
+  cplx_mul(m, a, fb.data(), a);
   inner_->inverse(reinterpret_cast<cplx*>(a));
-  be.cplx_mul(n_, a, chirp.data(), data);
+  cplx_mul(n_, a, chirp.data(), data);
   if (scale != 1.0)
     for (size_t i = 0; i < 2 * n_; ++i) data[i] *= scale;
 }
@@ -244,17 +348,16 @@ void FftPlan::forward_radix2_only(cplx* data) const {
       std::swap(d[2 * i + 1], d[2 * j + 1]);
     }
   }
-  const nn::KernelBackend& be = nn::active_backend();
   for (const Pass& p : passes_) {
     const double* t = tw_fwd_.data() + p.tw_offset;
     if (p.radix4) {
       // The fused tables are exactly the two stages' radix-2 tables: twA is
       // the len/2 table, twB|twC concatenate to the len table.
       const size_t q = p.len / 4;
-      be.fft_radix2_pass(n_, p.len / 2, t, d);
-      be.fft_radix2_pass(n_, p.len, t + 2 * q, d);
+      radix2_pass(n_, p.len / 2, t, d);
+      radix2_pass(n_, p.len, t + 2 * q, d);
     } else {
-      be.fft_radix2_pass(n_, p.len, t, d);
+      radix2_pass(n_, p.len, t, d);
     }
   }
 }

@@ -7,10 +7,10 @@
 /// (for non-power-of-two sizes) the Bluestein chirp and its transformed
 /// convolution kernel — so the per-call work is nothing but table-driven
 /// butterflies. The inner loops (radix-2 / fused radix-4 stages and the
-/// pointwise complex products) dispatch through the active
-/// nn::KernelBackend, which ships scalar and AVX2 implementations under the
-/// repo-wide bitwise-parity contract: spectra are bit-identical across
-/// backends and across the radix-4 / radix-2-only schedules.
+/// pointwise complex products) are plain scalar loops private to
+/// fft_plan.cpp — the FFT depends on no kernel backend. They are compiled
+/// without FP contraction, so spectra are bit-identical across the radix-4
+/// / radix-2-only schedules.
 ///
 /// Plan shapes:
 ///  * power-of-two n — iterative Cooley–Tukey: bit-reversal permutation,

@@ -1,7 +1,6 @@
 #include "math/linalg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -110,16 +109,6 @@ void gemv(size_t m, size_t n, double alpha, const double* A, const double* x,
     y[i] = alpha * acc + beta * y[i];
   }
 }
-
-void axpy(size_t n, double alpha, const double* x, double* y) {
-  nn::active_backend().axpy(n, alpha, x, y);
-}
-
-double dot(size_t n, const double* x, const double* y) {
-  return nn::active_backend().dot(n, x, y);
-}
-
-double nrm2(size_t n, const double* x) { return std::sqrt(dot(n, x, x)); }
 
 void transpose(size_t m, size_t n, const double* A, double* B) {
   constexpr size_t kTile = 32;

@@ -29,15 +29,6 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
 void gemv(size_t m, size_t n, double alpha, const double* A, const double* x,
           double beta, double* y);
 
-/// y += alpha * x (n elements).
-void axpy(size_t n, double alpha, const double* x, double* y);
-
-/// Dot product of two n-vectors.
-double dot(size_t n, const double* x, const double* y);
-
-/// Euclidean norm.
-double nrm2(size_t n, const double* x);
-
 /// B = A^T for row-major A (m x n) -> B (n x m).
 void transpose(size_t m, size_t n, const double* A, double* B);
 

@@ -38,10 +38,15 @@ std::future<NetResponse> Client::submit_async(const std::string& model,
   request.payload = std::move(input);
 
   // Register the promise BEFORE sending: the response could arrive (and be
-  // dispatched by the reader) before a post-send registration happened.
+  // dispatched by the reader) before a post-send registration happened. The
+  // failed_ check shares the lock with fail_all_pending's swap, so a promise
+  // registered here is either failed by that swap or read by a live reader
+  // — a reader that died between the connected_ check above and this
+  // insert cannot leave it orphaned.
   std::future<NetResponse> future;
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
+    if (failed_) throw SocketError("Client: not connected");
     future = pending_[request.request_id].get_future();
   }
 
@@ -112,6 +117,7 @@ void Client::fail_all_pending(const std::string& reason) {
   std::map<uint64_t, std::promise<NetResponse>> orphans;
   {
     std::lock_guard<std::mutex> lock(pending_mutex_);
+    failed_ = true;
     orphans.swap(pending_);
   }
   connected_.store(false, std::memory_order_relaxed);

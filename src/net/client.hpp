@@ -88,8 +88,9 @@ class Client {
   FrameLimits limits_;
   Socket socket_;
   std::mutex send_mutex_;    // serializes whole-frame sends
-  std::mutex pending_mutex_; // guards pending_
+  std::mutex pending_mutex_; // guards pending_ and failed_
   std::map<uint64_t, std::promise<NetResponse>> pending_;
+  bool failed_ = false;      // set by fail_all_pending; no insert after it
   std::thread reader_;
   std::atomic<uint64_t> next_id_{1};
   std::atomic<bool> connected_{false};

@@ -24,8 +24,6 @@ Tensor& like_tensor(ExecutionContext& ctx, const void* owner, int slot, const Te
 
 Tensor& ReLU::forward(ExecutionContext& ctx, const Tensor& input, bool /*training*/) {
   util::ScopedWorkerCap cap(ctx.worker_cap());
-  ScopedBackend backend_scope(ctx.backend());
-  const KernelBackend* be = &ctx.resolved_backend();
   // The output doubles as the backward cache: y > 0 iff x > 0, so no input
   // copy is needed (one read + one write per element).
   Tensor& out = like_tensor(ctx, this, kSlotCache, input);
@@ -33,15 +31,15 @@ Tensor& ReLU::forward(ExecutionContext& ctx, const Tensor& input, bool /*trainin
   double* p = out.data();
   util::parallel_for_chunks(
       0, input.size(),
-      [&](size_t lo, size_t hi) { be->relu_forward(hi - lo, x + lo, p + lo); },
+      [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) p[i] = x[i] < 0.0 ? 0.0 : x[i];
+      },
       detail::kElemGrain);
   return out;
 }
 
 Tensor& ReLU::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   util::ScopedWorkerCap cap(ctx.worker_cap());
-  ScopedBackend backend_scope(ctx.backend());
-  const KernelBackend* be = &ctx.resolved_backend();
   Tensor& yc = ctx.workspace().peek(this, kSlotCache);
   if (!grad_output.same_shape(yc))
     throw std::invalid_argument("ReLU::backward: grad shape mismatch");
@@ -51,7 +49,9 @@ Tensor& ReLU::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   const double* y = yc.data();
   util::parallel_for_chunks(
       0, grad_in.size(),
-      [&](size_t lo, size_t hi) { be->relu_backward(hi - lo, y + lo, go + lo, g + lo); },
+      [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) g[i] = y[i] <= 0.0 ? 0.0 : go[i];
+      },
       detail::kElemGrain);
   return grad_in;
 }
@@ -64,8 +64,6 @@ std::unique_ptr<ReLU> ReLU::load(util::BinaryReader& /*r*/) {
 
 Tensor& LeakyReLU::forward(ExecutionContext& ctx, const Tensor& input, bool /*training*/) {
   util::ScopedWorkerCap cap(ctx.worker_cap());
-  ScopedBackend backend_scope(ctx.backend());
-  const KernelBackend* be = &ctx.resolved_backend();
   Tensor& xc = like_tensor(ctx, this, kSlotCache, input);
   Tensor& out = like_tensor(ctx, this, kSlotOut, input);
   const double* x = input.data();
@@ -75,7 +73,10 @@ Tensor& LeakyReLU::forward(ExecutionContext& ctx, const Tensor& input, bool /*tr
   util::parallel_for_chunks(
       0, input.size(),
       [&](size_t lo, size_t hi) {
-        be->leaky_relu_forward(hi - lo, alpha, x + lo, xcp + lo, p + lo);
+        for (size_t i = lo; i < hi; ++i) {
+          xcp[i] = x[i];
+          p[i] = x[i] < 0.0 ? alpha * x[i] : x[i];
+        }
       },
       detail::kElemGrain);
   return out;
@@ -83,8 +84,6 @@ Tensor& LeakyReLU::forward(ExecutionContext& ctx, const Tensor& input, bool /*tr
 
 Tensor& LeakyReLU::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   util::ScopedWorkerCap cap(ctx.worker_cap());
-  ScopedBackend backend_scope(ctx.backend());
-  const KernelBackend* be = &ctx.resolved_backend();
   Tensor& xc = ctx.workspace().peek(this, kSlotCache);
   if (!grad_output.same_shape(xc))
     throw std::invalid_argument("LeakyReLU::backward: grad shape mismatch");
@@ -96,7 +95,7 @@ Tensor& LeakyReLU::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   util::parallel_for_chunks(
       0, grad_in.size(),
       [&](size_t lo, size_t hi) {
-        be->leaky_relu_backward(hi - lo, alpha, x + lo, go + lo, g + lo);
+        for (size_t i = lo; i < hi; ++i) g[i] = x[i] <= 0.0 ? alpha * go[i] : go[i];
       },
       detail::kElemGrain);
   return grad_in;
@@ -110,22 +109,20 @@ std::unique_ptr<LeakyReLU> LeakyReLU::load(util::BinaryReader& r) {
 
 Tensor& Tanh::forward(ExecutionContext& ctx, const Tensor& input, bool /*training*/) {
   util::ScopedWorkerCap cap(ctx.worker_cap());
-  ScopedBackend backend_scope(ctx.backend());
-  const KernelBackend* be = &ctx.resolved_backend();
   Tensor& out = like_tensor(ctx, this, kSlotCache, input);  // output doubles as cache
   const double* x = input.data();
   double* p = out.data();
   util::parallel_for_chunks(
       0, input.size(),
-      [&](size_t lo, size_t hi) { be->tanh_forward(hi - lo, x + lo, p + lo); },
+      [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) p[i] = std::tanh(x[i]);
+      },
       detail::kElemGrain);
   return out;
 }
 
 Tensor& Tanh::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   util::ScopedWorkerCap cap(ctx.worker_cap());
-  ScopedBackend backend_scope(ctx.backend());
-  const KernelBackend* be = &ctx.resolved_backend();
   Tensor& yc = ctx.workspace().peek(this, kSlotCache);
   if (!grad_output.same_shape(yc))
     throw std::invalid_argument("Tanh::backward: grad shape mismatch");
@@ -135,7 +132,9 @@ Tensor& Tanh::backward(ExecutionContext& ctx, const Tensor& grad_output) {
   const double* y = yc.data();
   util::parallel_for_chunks(
       0, grad_in.size(),
-      [&](size_t lo, size_t hi) { be->tanh_backward(hi - lo, y + lo, go + lo, g + lo); },
+      [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) g[i] = go[i] * (1.0 - y[i] * y[i]);
+      },
       detail::kElemGrain);
   return grad_in;
 }

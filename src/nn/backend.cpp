@@ -1,23 +1,11 @@
 #include "nn/backend.hpp"
 
-#include <cmath>
-#include <cstring>
 #include <string>
 
 #include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace dlpic::nn {
-
-// ---------------------------------------------------------------------------
-// Base-class elementwise kernels: the scalar reference implementations. The
-// scalar backend inherits them unchanged; the AVX2 backend overrides the
-// profitable ones and must mirror this exact operation order to stay bitwise
-// compatible (see backend.hpp).
-
-void KernelBackend::copy(size_t n, const double* x, double* y) const {
-  std::memcpy(y, x, n * sizeof(double));
-}
 
 // Reference int16 kernel: a plain widened dot per output element. The
 // accumulation is exact integer arithmetic (and the int64 sum fits a double
@@ -35,185 +23,6 @@ void KernelBackend::gemm_int16(size_t mb, size_t nb, size_t kb, const int16_t* A
         acc += static_cast<int64_t>(a[p]) * static_cast<int64_t>(b[p]);
       C[i * ldc + j] = (a_scales[i] * b_scales[j]) * static_cast<double>(acc);
     }
-  }
-}
-
-void KernelBackend::axpy(size_t n, double alpha, const double* x, double* y) const {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-double KernelBackend::dot(size_t n, const double* x, const double* y) const {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-void KernelBackend::add_bias_rows(size_t rows, size_t cols, const double* bias,
-                                  double* out) const {
-  for (size_t r = 0; r < rows; ++r) {
-    double* row = out + r * cols;
-    for (size_t c = 0; c < cols; ++c) row[c] += bias[c];
-  }
-}
-
-double KernelBackend::squared_diff_sum(size_t n, const double* p, const double* t,
-                                       double* diff) const {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    diff[i] = p[i] - t[i];
-    s += diff[i] * diff[i];
-  }
-  return s;
-}
-
-void KernelBackend::relu_forward(size_t n, const double* x, double* y) const {
-  for (size_t i = 0; i < n; ++i) y[i] = x[i] < 0.0 ? 0.0 : x[i];
-}
-
-void KernelBackend::relu_backward(size_t n, const double* y, const double* gout,
-                                  double* gin) const {
-  for (size_t i = 0; i < n; ++i) gin[i] = y[i] <= 0.0 ? 0.0 : gout[i];
-}
-
-void KernelBackend::leaky_relu_forward(size_t n, double alpha, const double* x,
-                                       double* xc, double* y) const {
-  for (size_t i = 0; i < n; ++i) {
-    xc[i] = x[i];
-    y[i] = x[i] < 0.0 ? alpha * x[i] : x[i];
-  }
-}
-
-void KernelBackend::leaky_relu_backward(size_t n, double alpha, const double* x,
-                                        const double* gout, double* gin) const {
-  for (size_t i = 0; i < n; ++i) gin[i] = x[i] <= 0.0 ? alpha * gout[i] : gout[i];
-}
-
-void KernelBackend::tanh_forward(size_t n, const double* x, double* y) const {
-  for (size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
-}
-
-void KernelBackend::tanh_backward(size_t n, const double* y, const double* gout,
-                                  double* gin) const {
-  for (size_t i = 0; i < n; ++i) gin[i] = gout[i] * (1.0 - y[i] * y[i]);
-}
-
-// Reference FFT stages. The AVX2 overrides mirror this exact operation
-// order (product terms identical, additions merely commuted, which IEEE-754
-// addition permits bitwise), and this TU is compiled with -ffp-contract=off
-// when any SIMD backend is, so the reference itself never fuses into FMA.
-
-void KernelBackend::fft_radix2_pass(size_t n, size_t len, const double* tw,
-                                    double* data) const {
-  const size_t half = len / 2;
-  if (len == 2) {
-    // The only twiddle is exactly 1: skip the multiply so signed zeros in
-    // the input can never flip sign through a `* 0.0` term.
-    for (size_t i = 0; i < n; i += 2) {
-      double* p = data + 2 * i;
-      const double ur = p[0], ui = p[1];
-      const double vr = p[2], vi = p[3];
-      p[0] = ur + vr;
-      p[1] = ui + vi;
-      p[2] = ur - vr;
-      p[3] = ui - vi;
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; i += len) {
-    double* base = data + 2 * i;
-    for (size_t k = 0; k < half; ++k) {
-      const double wr = tw[2 * k], wi = tw[2 * k + 1];
-      double* u = base + 2 * k;
-      double* v = base + 2 * (k + half);
-      const double vr = v[0] * wr - v[1] * wi;
-      const double vi = v[0] * wi + v[1] * wr;
-      const double ur = u[0], ui = u[1];
-      u[0] = ur + vr;
-      u[1] = ui + vi;
-      v[0] = ur - vr;
-      v[1] = ui - vi;
-    }
-  }
-}
-
-void KernelBackend::fft_radix4_pass(size_t n, size_t len, const double* twA,
-                                    const double* twB, const double* twC,
-                                    double* data) const {
-  const size_t q = len / 4;
-  for (size_t i = 0; i < n; i += len) {
-    double* base = data + 2 * i;
-    for (size_t k = 0; k < q; ++k) {
-      double* p0 = base + 2 * k;
-      double* p1 = base + 2 * (k + q);
-      double* p2 = base + 2 * (k + 2 * q);
-      double* p3 = base + 2 * (k + 3 * q);
-      // Stage len/2: butterflies (p0, p1) and (p2, p3) with twiddle twA[k].
-      double t1r, t1i, t3r, t3i;
-      if (q == 1) {
-        // twA is the unit twiddle of a len == 2 stage: no multiply.
-        t1r = p1[0], t1i = p1[1];
-        t3r = p3[0], t3i = p3[1];
-      } else {
-        const double ar = twA[2 * k], ai = twA[2 * k + 1];
-        t1r = p1[0] * ar - p1[1] * ai;
-        t1i = p1[0] * ai + p1[1] * ar;
-        t3r = p3[0] * ar - p3[1] * ai;
-        t3i = p3[0] * ai + p3[1] * ar;
-      }
-      const double u0r = p0[0] + t1r, u0i = p0[1] + t1i;
-      const double u1r = p0[0] - t1r, u1i = p0[1] - t1i;
-      const double u2r = p2[0] + t3r, u2i = p2[1] + t3i;
-      const double u3r = p2[0] - t3r, u3i = p2[1] - t3i;
-      // Stage len: butterflies (u0, u2) with twB[k] and (u1, u3) with twC[k].
-      const double br = twB[2 * k], bi = twB[2 * k + 1];
-      const double v2r = u2r * br - u2i * bi;
-      const double v2i = u2r * bi + u2i * br;
-      const double cr = twC[2 * k], ci = twC[2 * k + 1];
-      const double v3r = u3r * cr - u3i * ci;
-      const double v3i = u3r * ci + u3i * cr;
-      p0[0] = u0r + v2r;
-      p0[1] = u0i + v2i;
-      p1[0] = u1r + v3r;
-      p1[1] = u1i + v3i;
-      p2[0] = u0r - v2r;
-      p2[1] = u0i - v2i;
-      p3[0] = u1r - v3r;
-      p3[1] = u1i - v3i;
-    }
-  }
-}
-
-void KernelBackend::cplx_mul(size_t n, const double* a, const double* b,
-                             double* out) const {
-  for (size_t i = 0; i < n; ++i) {
-    const double ar = a[2 * i], ai = a[2 * i + 1];
-    const double br = b[2 * i], bi = b[2 * i + 1];
-    out[2 * i] = ar * br - ai * bi;
-    out[2 * i + 1] = ar * bi + ai * br;
-  }
-}
-
-void KernelBackend::sgd_update(size_t n, double lr, const double* g, double* w) const {
-  for (size_t i = 0; i < n; ++i) w[i] -= lr * g[i];
-}
-
-void KernelBackend::sgd_momentum_update(size_t n, double lr, double momentum,
-                                        const double* g, double* vel, double* w) const {
-  for (size_t i = 0; i < n; ++i) {
-    vel[i] = momentum * vel[i] - lr * g[i];
-    w[i] += vel[i];
-  }
-}
-
-void KernelBackend::adam_update(size_t n, double lr, double beta1, double beta2,
-                                double bc1, double bc2, double eps, const double* g,
-                                double* m, double* v, double* w) const {
-  for (size_t i = 0; i < n; ++i) {
-    m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
-    v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
-    const double mhat = m[i] / bc1;
-    const double vhat = v[i] / bc2;
-    w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
   }
 }
 

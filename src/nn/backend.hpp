@@ -1,12 +1,15 @@
 #pragma once
 /// \file backend.hpp
-/// Pluggable compute-kernel backend: one vtable of hot inner loops shared by
-/// the whole execution stack (math/linalg GEMM micro-kernel, the elementwise
-/// nn layer/optimizer/loss kernels, and the PIC gather/deposit/leapfrog
-/// ranges). Three implementations ship: a portable scalar backend
-/// (backend_scalar.*), an AVX2+FMA backend (backend_avx2.*) and an AVX-512
-/// VNNI backend (backend_avx512.*) — the SIMD files are compiled with
-/// per-file target flags on x86-64 and selected at runtime via cpuid.
+/// Pluggable compute-kernel backend: one vtable of the hot inner loops that
+/// pay for a SIMD implementation — the f64 GEMM micro-kernel behind
+/// math::gemm (dense layers, im2col convolutions), the int8/int16 quantized
+/// GEMMs, and the PIC gather/stagger/leapfrog/deposit ranges. Everything
+/// else (activations, optimizer updates, the MSE body, bias adds, FFT
+/// butterflies) is a plain loop beside its one caller. Three
+/// implementations ship: a portable scalar backend (backend_scalar.*), an
+/// AVX2+FMA backend (backend_avx2.*) and an AVX-512 VNNI backend
+/// (backend_avx512.*) — the SIMD files are compiled with per-file target
+/// flags on x86-64 and selected at runtime via cpuid.
 ///
 /// Selection rules:
 ///  - default_backend() resolves once per process from the DLPIC_BACKEND
@@ -15,20 +18,20 @@
 ///    "auto"/unset (avx512 when available, else avx2, else scalar).
 ///  - active_backend() is the thread's current backend: a ScopedBackend
 ///    override when one is in scope, otherwise the process default.
-///    ExecutionContext::set_backend() pins a context to a backend; every
-///    layer call applies it through ScopedBackend, mirroring the worker-cap
-///    plumbing.
+///    ExecutionContext::set_backend() pins a context to a backend; the GEMM
+///    layers (Dense, Conv2D) apply it through ScopedBackend, mirroring the
+///    worker-cap plumbing.
 ///  - Kernels that fan out over the thread pool must capture the backend
 ///    pointer BEFORE dispatching (thread-locals do not propagate to pool
 ///    workers); every routed call site in this repo does.
 ///
 /// Determinism contract: within one backend, results are bitwise invariant
-/// under the worker count (all reductions keep fixed k-/block-order and the
-/// elementwise kernels are pure maps). Switching backends may change bits in
-/// GEMM-backed results (the AVX2 micro-kernel uses FMA), while the routed
-/// elementwise, optimizer and PIC kernels mirror the scalar operation order
-/// exactly and stay bitwise identical across backends
-/// (tests/nn/test_backend_parity.cpp enforces both properties).
+/// under the worker count (all reductions keep fixed k-/block-order). The
+/// quantized GEMMs and the PIC kernels are bitwise identical across
+/// backends (exact integer sums; the PIC stencils mirror the scalar
+/// operation order), while the f64 GEMM may differ in low bits (the AVX2
+/// micro-kernel uses FMA). tests/nn/test_backend_parity.cpp enforces both
+/// properties.
 ///
 /// This header deliberately depends on nothing but <cstddef>/<cstdint> so
 /// the lower layers (math, pic) can include it without cycles.
@@ -51,8 +54,8 @@ inline constexpr size_t kQuantizedGemmMaxDepth = 133144;
 inline constexpr size_t kQuantizedGemmInt16MaxDepth = size_t(1) << 23;
 
 /// Abstract kernel backend. Granularity: one virtual call per *range* (a
-/// GEMM panel, an elementwise chunk, a particle range), never per element,
-/// so dispatch cost is immeasurable against the loop bodies.
+/// GEMM panel or a particle range), never per element, so dispatch cost is
+/// immeasurable against the loop bodies.
 class KernelBackend {
  public:
   virtual ~KernelBackend() = default;
@@ -94,85 +97,6 @@ class KernelBackend {
                           const double* a_scales, const int16_t* Bq,
                           const double* b_scales, double* C, size_t ldc) const;
 
-  // ----------------------------------------------- elementwise / BLAS-1 ----
-  /// y[i] = x[i].
-  virtual void copy(size_t n, const double* x, double* y) const;
-  /// y[i] += alpha * x[i].
-  virtual void axpy(size_t n, double alpha, const double* x, double* y) const;
-  /// Ascending-index dot product partial (serial; callers block-order it).
-  [[nodiscard]] virtual double dot(size_t n, const double* x, const double* y) const;
-  /// out[r*cols + c] += bias[c] for every row — the dense-layer bias add.
-  virtual void add_bias_rows(size_t rows, size_t cols, const double* bias,
-                             double* out) const;
-  /// diff[i] = p[i] - t[i]; returns sum of diff[i]^2 accumulated in
-  /// ascending-index order (the MSE loss body, fed fixed-size blocks by
-  /// util::ordered_block_sum so the grouping never depends on workers).
-  virtual double squared_diff_sum(size_t n, const double* p, const double* t,
-                                  double* diff) const;
-
-  // ------------------------------------------------------- activations ----
-  /// y[i] = max(x[i], 0) with the scalar's exact signed-zero behavior.
-  virtual void relu_forward(size_t n, const double* x, double* y) const;
-  /// gin[i] = y[i] <= 0 ? 0 : gout[i] (y is the cached forward output).
-  virtual void relu_backward(size_t n, const double* y, const double* gout,
-                             double* gin) const;
-  /// xc[i] = x[i] (backward cache); y[i] = x[i] < 0 ? alpha*x[i] : x[i].
-  virtual void leaky_relu_forward(size_t n, double alpha, const double* x, double* xc,
-                                  double* y) const;
-  /// gin[i] = x[i] <= 0 ? alpha*gout[i] : gout[i].
-  virtual void leaky_relu_backward(size_t n, double alpha, const double* x,
-                                   const double* gout, double* gin) const;
-  /// y[i] = tanh(x[i]) — libm scalar in every backend (bitwise stable).
-  virtual void tanh_forward(size_t n, const double* x, double* y) const;
-  /// gin[i] = gout[i] * (1 - y[i]*y[i]).
-  virtual void tanh_backward(size_t n, const double* y, const double* gout,
-                             double* gin) const;
-
-  // --------------------------------------------------------- optimizers ----
-  /// w[i] -= lr * g[i].
-  virtual void sgd_update(size_t n, double lr, const double* g, double* w) const;
-  /// vel[i] = momentum*vel[i] - lr*g[i]; w[i] += vel[i].
-  virtual void sgd_momentum_update(size_t n, double lr, double momentum,
-                                   const double* g, double* vel, double* w) const;
-  /// One Adam element update with precomputed bias corrections bc1/bc2;
-  /// operation order matches the scalar reference exactly (bitwise-stable
-  /// across backends).
-  virtual void adam_update(size_t n, double lr, double beta1, double beta2, double bc1,
-                           double bc2, double eps, const double* g, double* m, double* v,
-                           double* w) const;
-
-  // -------------------------------------------------------- FFT kernels ----
-  // The plan-based FFT (math/fft_plan.hpp) routes its inner loops here.
-  // Layout: every buffer is interleaved complex doubles (re at 2i, im at
-  // 2i+1); `n` counts complex elements. Bitwise contract: the complex
-  // product is computed as re = vr*wr - vi*wi, im = vr*wi + vi*wr with no
-  // FP contraction, and the len == 2 butterfly skips the twiddle multiply
-  // entirely (both operands of the unit twiddle), so every backend produces
-  // bit-identical spectra (tests/nn/test_backend_parity.cpp).
-
-  /// One radix-2 Cooley-Tukey stage over `n` complex elements in place:
-  /// for every block of `len`, butterfly (u, v) pairs split at len/2 with
-  /// v scaled by tw[k] (interleaved, len/2 entries). len == 2 must skip the
-  /// multiply (the twiddle is exactly 1).
-  virtual void fft_radix2_pass(size_t n, size_t len, const double* tw,
-                               double* data) const;
-
-  /// Two fused radix-2 stages (spans len/2 then len) over `n` complex
-  /// elements: 4-point butterflies at strides q = len/4 using three
-  /// interleaved twiddle tables of q entries each — twA = tw_{len/2}[0..q),
-  /// twB = tw_len[0..q), twC = tw_len[q..2q). Must be bitwise identical to
-  /// fft_radix2_pass(len/2) followed by fft_radix2_pass(len) on the same
-  /// tables (q == 1 therefore skips the twA multiply like a len == 2 stage).
-  virtual void fft_radix4_pass(size_t n, size_t len, const double* twA,
-                               const double* twB, const double* twC,
-                               double* data) const;
-
-  /// Pointwise complex product out[i] = a[i] * b[i] over n interleaved
-  /// complex elements (the Bluestein chirp/convolution multiplies). out may
-  /// alias a.
-  virtual void cplx_mul(size_t n, const double* a, const double* b,
-                        double* out) const;
-
   // ------------------------------------------------------- PIC kernels ----
   // Shape index matches pic::Shape: 0 = NGP, 1 = CIC, 2 = TSC (kept as an
   // int so this header does not depend on the pic layer). The functions are
@@ -211,9 +135,9 @@ const KernelBackend* avx2_backend();
 
 /// The AVX-512 VNNI backend (vpdpbusd int8 GEMM, everything else delegated
 /// to the AVX2 backend), or nullptr when the build or the CPU lacks
-/// AVX512VNNI+BW+VL. Bitwise identical to avx2 on every kernel: the f64 and
-/// elementwise paths literally run the AVX2 code, and the int8 kernel is
-/// exact integer arithmetic.
+/// AVX512VNNI+BW+VL. Bitwise identical to avx2 on every kernel: the f64
+/// GEMM, int16 GEMM and PIC paths literally run the AVX2 code, and the int8
+/// kernel is exact integer arithmetic.
 const KernelBackend* avx512_backend();
 
 /// Process default resolved once from DLPIC_BACKEND (see file header).

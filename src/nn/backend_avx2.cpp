@@ -172,23 +172,6 @@ void deposit_range_avx2(double* buf, const double* x, size_t lo, size_t hi,
 }
 
 // ---------------------------------------------------------------------------
-// Interleaved-complex FFT building blocks. One __m256d holds two complexes
-// [r0 i0 r1 i1]. Stage strides (half = len/2, q = len/4) are powers of two,
-// so the vector bodies below never need a scalar tail: half >= 2 in every
-// twiddled radix-2 stage, and the radix-4 kernel delegates q == 1 to the
-// scalar reference.
-
-/// Elementwise complex product a[j] * b[j] over two packed complexes. The
-/// four products match the scalar reference exactly; addsub merely commutes
-/// the imaginary-part addition, which IEEE-754 addition permits bitwise.
-inline __m256d cmul2(__m256d a, __m256d b) {
-  const __m256d br = _mm256_movedup_pd(b);          // [br0 br0 br1 br1]
-  const __m256d bi = _mm256_permute_pd(b, 0xF);     // [bi0 bi0 bi1 bi1]
-  const __m256d aswap = _mm256_permute_pd(a, 0x5);  // [ai0 ar0 ai1 ar1]
-  return _mm256_addsub_pd(_mm256_mul_pd(a, br), _mm256_mul_pd(aswap, bi));
-}
-
-// ---------------------------------------------------------------------------
 // Int8 GEMM building blocks. Codes are in [-127, 127] (never -128, enforced
 // by the quantizer's clamp), so |a| fits an unsigned byte and a pairwise
 // maddubs product is at most 2 * 127 * 127 = 32258 < 32767 — no saturation.
@@ -497,234 +480,6 @@ class Avx2Backend final : public ScalarBackend {
         C[i * ldc + j] = (a_scales[i] * b_scales[j]) *
                          static_cast<double>(dot_i16_avx2(a, Bq + j * kb, kb));
       }
-    }
-  }
-
-  void axpy(size_t n, double alpha, const double* x, double* y) const override {
-    const __m256d va = _mm256_set1_pd(alpha);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(
-          y + i, _mm256_add_pd(_mm256_loadu_pd(y + i),
-                               _mm256_mul_pd(va, _mm256_loadu_pd(x + i))));
-    for (; i < n; ++i) y[i] += alpha * x[i];
-  }
-
-  void add_bias_rows(size_t rows, size_t cols, const double* bias,
-                     double* out) const override {
-    for (size_t r = 0; r < rows; ++r) {
-      double* row = out + r * cols;
-      size_t c = 0;
-      for (; c + 4 <= cols; c += 4)
-        _mm256_storeu_pd(row + c, _mm256_add_pd(_mm256_loadu_pd(row + c),
-                                                _mm256_loadu_pd(bias + c)));
-      for (; c < cols; ++c) row[c] += bias[c];
-    }
-  }
-
-  void relu_forward(size_t n, const double* x, double* y) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d xv = _mm256_loadu_pd(x + i);
-      const __m256d neg = _mm256_cmp_pd(xv, zero, _CMP_LT_OQ);
-      _mm256_storeu_pd(y + i, _mm256_andnot_pd(neg, xv));
-    }
-    for (; i < n; ++i) y[i] = x[i] < 0.0 ? 0.0 : x[i];
-  }
-
-  void relu_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d mask = _mm256_cmp_pd(_mm256_loadu_pd(y + i), zero, _CMP_LE_OQ);
-      _mm256_storeu_pd(gin + i, _mm256_andnot_pd(mask, _mm256_loadu_pd(gout + i)));
-    }
-    for (; i < n; ++i) gin[i] = y[i] <= 0.0 ? 0.0 : gout[i];
-  }
-
-  void leaky_relu_forward(size_t n, double alpha, const double* x, double* xc,
-                          double* y) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d va = _mm256_set1_pd(alpha);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d xv = _mm256_loadu_pd(x + i);
-      _mm256_storeu_pd(xc + i, xv);
-      const __m256d neg = _mm256_cmp_pd(xv, zero, _CMP_LT_OQ);
-      _mm256_storeu_pd(y + i, _mm256_blendv_pd(xv, _mm256_mul_pd(va, xv), neg));
-    }
-    for (; i < n; ++i) {
-      xc[i] = x[i];
-      y[i] = x[i] < 0.0 ? alpha * x[i] : x[i];
-    }
-  }
-
-  void leaky_relu_backward(size_t n, double alpha, const double* x, const double* gout,
-                           double* gin) const override {
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d va = _mm256_set1_pd(alpha);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d mask = _mm256_cmp_pd(_mm256_loadu_pd(x + i), zero, _CMP_LE_OQ);
-      const __m256d gv = _mm256_loadu_pd(gout + i);
-      _mm256_storeu_pd(gin + i, _mm256_blendv_pd(gv, _mm256_mul_pd(va, gv), mask));
-    }
-    for (; i < n; ++i) gin[i] = x[i] <= 0.0 ? alpha * gout[i] : gout[i];
-  }
-
-  void tanh_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    const __m256d one = _mm256_set1_pd(1.0);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d yv = _mm256_loadu_pd(y + i);
-      _mm256_storeu_pd(gin + i,
-                       _mm256_mul_pd(_mm256_loadu_pd(gout + i),
-                                     _mm256_sub_pd(one, _mm256_mul_pd(yv, yv))));
-    }
-    for (; i < n; ++i) gin[i] = gout[i] * (1.0 - y[i] * y[i]);
-  }
-
-  void sgd_update(size_t n, double lr, const double* g, double* w) const override {
-    const __m256d vlr = _mm256_set1_pd(lr);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-      _mm256_storeu_pd(
-          w + i, _mm256_sub_pd(_mm256_loadu_pd(w + i),
-                               _mm256_mul_pd(vlr, _mm256_loadu_pd(g + i))));
-    for (; i < n; ++i) w[i] -= lr * g[i];
-  }
-
-  void sgd_momentum_update(size_t n, double lr, double momentum, const double* g,
-                           double* vel, double* w) const override {
-    const __m256d vlr = _mm256_set1_pd(lr);
-    const __m256d vmom = _mm256_set1_pd(momentum);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d vn =
-          _mm256_sub_pd(_mm256_mul_pd(vmom, _mm256_loadu_pd(vel + i)),
-                        _mm256_mul_pd(vlr, _mm256_loadu_pd(g + i)));
-      _mm256_storeu_pd(vel + i, vn);
-      _mm256_storeu_pd(w + i, _mm256_add_pd(_mm256_loadu_pd(w + i), vn));
-    }
-    for (; i < n; ++i) {
-      vel[i] = momentum * vel[i] - lr * g[i];
-      w[i] += vel[i];
-    }
-  }
-
-  void adam_update(size_t n, double lr, double beta1, double beta2, double bc1,
-                   double bc2, double eps, const double* g, double* m, double* v,
-                   double* w) const override {
-    const __m256d vb1 = _mm256_set1_pd(beta1), vob1 = _mm256_set1_pd(1.0 - beta1);
-    const __m256d vb2 = _mm256_set1_pd(beta2), vob2 = _mm256_set1_pd(1.0 - beta2);
-    const __m256d vbc1 = _mm256_set1_pd(bc1), vbc2 = _mm256_set1_pd(bc2);
-    const __m256d vlr = _mm256_set1_pd(lr), veps = _mm256_set1_pd(eps);
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d gv = _mm256_loadu_pd(g + i);
-      // Exact scalar order: (1-b2)*g*g associates as ((1-b2)*g)*g.
-      const __m256d mn = _mm256_add_pd(_mm256_mul_pd(vb1, _mm256_loadu_pd(m + i)),
-                                       _mm256_mul_pd(vob1, gv));
-      const __m256d vn = _mm256_add_pd(
-          _mm256_mul_pd(vb2, _mm256_loadu_pd(v + i)),
-          _mm256_mul_pd(_mm256_mul_pd(vob2, gv), gv));
-      _mm256_storeu_pd(m + i, mn);
-      _mm256_storeu_pd(v + i, vn);
-      const __m256d mhat = _mm256_div_pd(mn, vbc1);
-      const __m256d vhat = _mm256_div_pd(vn, vbc2);
-      const __m256d step = _mm256_div_pd(_mm256_mul_pd(vlr, mhat),
-                                         _mm256_add_pd(_mm256_sqrt_pd(vhat), veps));
-      _mm256_storeu_pd(w + i, _mm256_sub_pd(_mm256_loadu_pd(w + i), step));
-    }
-    for (; i < n; ++i) {
-      m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
-      v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-    }
-  }
-
-  void fft_radix2_pass(size_t n, size_t len, const double* tw,
-                       double* data) const override {
-    const size_t half = len / 2;
-    if (len == 2) {
-      // One butterfly per vector: [ur ui vr vi] -> [ur+vr ui+vi ur-vr ui-vi],
-      // additions in the scalar reference's u-first order.
-      for (size_t i = 0; i < n; i += 2) {
-        double* p = data + 2 * i;
-        const __m256d a = _mm256_loadu_pd(p);
-        const __m256d b = _mm256_permute2f128_pd(a, a, 0x01);  // [vr vi ur ui]
-        const __m256d s = _mm256_add_pd(a, b);
-        const __m256d d = _mm256_sub_pd(a, b);
-        _mm256_storeu_pd(p, _mm256_permute2f128_pd(s, d, 0x20));
-      }
-      return;
-    }
-    for (size_t i = 0; i < n; i += len) {
-      double* ub = data + 2 * i;
-      double* vb = ub + len;  // v half starts half complexes (= len doubles) in
-      for (size_t k = 0; k < half; k += 2) {
-        const __m256d v = cmul2(_mm256_loadu_pd(vb + 2 * k), _mm256_loadu_pd(tw + 2 * k));
-        const __m256d u = _mm256_loadu_pd(ub + 2 * k);
-        _mm256_storeu_pd(ub + 2 * k, _mm256_add_pd(u, v));
-        _mm256_storeu_pd(vb + 2 * k, _mm256_sub_pd(u, v));
-      }
-    }
-  }
-
-  void fft_radix4_pass(size_t n, size_t len, const double* twA, const double* twB,
-                       const double* twC, double* data) const override {
-    const size_t q = len / 4;
-    if (q < 2) {  // q == 1: the twA stage is the multiply-free len == 2 case.
-      KernelBackend::fft_radix4_pass(n, len, twA, twB, twC, data);
-      return;
-    }
-    for (size_t i = 0; i < n; i += len) {
-      double* base = data + 2 * i;
-      for (size_t k = 0; k < q; k += 2) {
-        double* p0 = base + 2 * k;
-        double* p1 = p0 + 2 * q;
-        double* p2 = p0 + 4 * q;
-        double* p3 = p0 + 6 * q;
-        const __m256d wa = _mm256_loadu_pd(twA + 2 * k);
-        const __m256d t1 = cmul2(_mm256_loadu_pd(p1), wa);
-        const __m256d t3 = cmul2(_mm256_loadu_pd(p3), wa);
-        const __m256d v0 = _mm256_loadu_pd(p0);
-        const __m256d v2 = _mm256_loadu_pd(p2);
-        const __m256d u0 = _mm256_add_pd(v0, t1);
-        const __m256d u1 = _mm256_sub_pd(v0, t1);
-        const __m256d u2 = _mm256_add_pd(v2, t3);
-        const __m256d u3 = _mm256_sub_pd(v2, t3);
-        const __m256d w2 = cmul2(u2, _mm256_loadu_pd(twB + 2 * k));
-        const __m256d w3 = cmul2(u3, _mm256_loadu_pd(twC + 2 * k));
-        _mm256_storeu_pd(p0, _mm256_add_pd(u0, w2));
-        _mm256_storeu_pd(p1, _mm256_add_pd(u1, w3));
-        _mm256_storeu_pd(p2, _mm256_sub_pd(u0, w2));
-        _mm256_storeu_pd(p3, _mm256_sub_pd(u1, w3));
-      }
-    }
-  }
-
-  void cplx_mul(size_t n, const double* a, const double* b,
-                double* out) const override {
-    size_t i = 0;
-    for (; i + 2 <= n; i += 2)
-      _mm256_storeu_pd(out + 2 * i,
-                       cmul2(_mm256_loadu_pd(a + 2 * i), _mm256_loadu_pd(b + 2 * i)));
-    // Tail in explicit SSE3: a plain-C tail here gets SLP-vectorized into
-    // vfmaddsub231pd (the vectorizer's mul+addsub pattern fuses even under
-    // -ffp-contract=off), breaking bitwise parity with the scalar backend.
-    for (; i < n; ++i) {
-      const __m128d av = _mm_loadu_pd(a + 2 * i);
-      const __m128d br = _mm_loaddup_pd(b + 2 * i);
-      const __m128d bi = _mm_loaddup_pd(b + 2 * i + 1);
-      const __m128d aswap = _mm_shuffle_pd(av, av, 0x1);
-      _mm_storeu_pd(out + 2 * i,
-                    _mm_addsub_pd(_mm_mul_pd(av, br), _mm_mul_pd(aswap, bi)));
     }
   }
 

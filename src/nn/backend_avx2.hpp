@@ -5,11 +5,11 @@
 /// compilers lacking the flags, avx2_backend() resolves to nullptr and the
 /// scalar backend serves everything.
 ///
-/// Numerics: the GEMM micro-kernel uses FMA (bits may differ from scalar
-/// within a tight ULP bound); every other kernel mirrors the scalar
-/// operation order without FMA and is bitwise identical to the scalar
-/// backend — including the PIC stencils, whose loop tails literally call the
-/// scalar shape templates.
+/// Numerics: the f64 GEMM micro-kernel uses FMA (bits may differ from
+/// scalar within a tight ULP bound); the int8/int16 GEMMs are exact integer
+/// arithmetic, and the PIC stencils mirror the scalar operation order
+/// without FMA (their loop tails literally call the scalar shape
+/// templates), so both are bitwise identical to the scalar backend.
 
 #include "nn/backend.hpp"
 

@@ -176,57 +176,6 @@ class Avx512VnniBackend final : public KernelBackend {
     base_.gemm_int16(mb, nb, kb, Aq, a_scales, Bq, b_scales, C, ldc);
   }
 
-  void copy(size_t n, const double* x, double* y) const override {
-    base_.copy(n, x, y);
-  }
-  void axpy(size_t n, double alpha, const double* x, double* y) const override {
-    base_.axpy(n, alpha, x, y);
-  }
-  [[nodiscard]] double dot(size_t n, const double* x, const double* y) const override {
-    return base_.dot(n, x, y);
-  }
-  void add_bias_rows(size_t rows, size_t cols, const double* bias,
-                     double* out) const override {
-    base_.add_bias_rows(rows, cols, bias, out);
-  }
-  double squared_diff_sum(size_t n, const double* p, const double* t,
-                          double* diff) const override {
-    return base_.squared_diff_sum(n, p, t, diff);
-  }
-  void relu_forward(size_t n, const double* x, double* y) const override {
-    base_.relu_forward(n, x, y);
-  }
-  void relu_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    base_.relu_backward(n, y, gout, gin);
-  }
-  void leaky_relu_forward(size_t n, double alpha, const double* x, double* xc,
-                          double* y) const override {
-    base_.leaky_relu_forward(n, alpha, x, xc, y);
-  }
-  void leaky_relu_backward(size_t n, double alpha, const double* x, const double* gout,
-                           double* gin) const override {
-    base_.leaky_relu_backward(n, alpha, x, gout, gin);
-  }
-  void tanh_forward(size_t n, const double* x, double* y) const override {
-    base_.tanh_forward(n, x, y);
-  }
-  void tanh_backward(size_t n, const double* y, const double* gout,
-                     double* gin) const override {
-    base_.tanh_backward(n, y, gout, gin);
-  }
-  void sgd_update(size_t n, double lr, const double* g, double* w) const override {
-    base_.sgd_update(n, lr, g, w);
-  }
-  void sgd_momentum_update(size_t n, double lr, double momentum, const double* g,
-                           double* vel, double* w) const override {
-    base_.sgd_momentum_update(n, lr, momentum, g, vel, w);
-  }
-  void adam_update(size_t n, double lr, double beta1, double beta2, double bc1,
-                   double bc2, double eps, const double* g, double* m, double* v,
-                   double* w) const override {
-    base_.adam_update(n, lr, beta1, beta2, bc1, bc2, eps, g, m, v, w);
-  }
   [[nodiscard]] PicGatherFn pic_gather(int shape) const override {
     return base_.pic_gather(shape);
   }

@@ -12,8 +12,8 @@
 /// win is kept without the 512-bit license downclocking that would give it
 /// back, and AVX512BW masked loads fold the k remainder into one more VNNI
 /// step instead of a scalar tail. Every other kernel delegates to the AVX2
-/// backend, so the f64 GEMM, elementwise, optimizer and PIC paths are not
-/// merely equivalent but the same code.
+/// backend, so the f64 GEMM, int16 GEMM and PIC paths are not merely
+/// equivalent but the same code.
 ///
 /// Numerics: the ±127 code contract (codes never reach -128) rules out the
 /// unsigned-operand saturation edge of vpdpbusd's u8 x s8 products, and the

@@ -62,10 +62,12 @@ void deposit_range(double* buf, const double* x, size_t lo, size_t hi, double in
 
 }  // namespace backend_detail
 
-/// Portable reference backend: blocked 4x4 register-tile GEMM micro-kernel
-/// and the scalar elementwise/PIC kernels inherited from KernelBackend.
-/// Non-final: the AVX2 backend derives from it so non-vectorized kernels
-/// (tanh forward, dot, the MSE body) fall through to the scalar reference.
+/// Portable reference backend: a blocked 4x4 register-tile f64 GEMM
+/// micro-kernel, plain widened-dot int8 (and, inherited from KernelBackend,
+/// int16) GEMMs, and the shape-templated PIC range kernels above. Non-final:
+/// the AVX2 backend derives from it, overriding every kernel with a SIMD
+/// version that keeps this reference's results (bitwise, except the f64
+/// GEMM's FMA rounding).
 class ScalarBackend : public KernelBackend {
  public:
   [[nodiscard]] const char* name() const override { return "scalar"; }

@@ -48,7 +48,6 @@ Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training
                                 "], got " + input.shape_string());
   util::ScopedWorkerCap cap(ctx.worker_cap());
   ScopedBackend backend_scope(ctx.backend());
-  const KernelBackend* be = &ctx.resolved_backend();
   const size_t batch = input.dim(0);
   Tensor& out = ctx.workspace().tensor(this, kSlotOut, {batch, out_});
 
@@ -72,7 +71,10 @@ Tensor& Dense::forward(ExecutionContext& ctx, const Tensor& input, bool training
   util::parallel_for_chunks(
       0, batch,
       [&](size_t lo, size_t hi) {
-        be->add_bias_rows(hi - lo, out_, bias, out.data() + lo * out_);
+        for (size_t r = lo; r < hi; ++r) {
+          double* row = out.data() + r * out_;
+          for (size_t c = 0; c < out_; ++c) row[c] += bias[c];
+        }
       },
       detail::kElemGrain / std::max<size_t>(1, out_));
   return out;

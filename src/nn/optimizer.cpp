@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/backend.hpp"
 #include "util/parallel.hpp"
 
 namespace dlpic::nn {
@@ -31,9 +30,6 @@ SGD::SGD(double lr, double momentum) : lr_(lr), momentum_(momentum) {
 
 void SGD::step(const std::vector<Param>& params) {
   check_state(velocity_, params);
-  // Resolve the backend on the calling thread (a Trainer scope or the
-  // process default) and capture it for the pool-worker chunk bodies.
-  const KernelBackend* be = &active_backend();
   for (size_t i = 0; i < params.size(); ++i) {
     double* w = params[i].value->data();
     const double* g = params[i].grad->data();
@@ -45,13 +41,18 @@ void SGD::step(const std::vector<Param>& params) {
       util::parallel_for_chunks(
           0, n,
           [&](size_t lo, size_t hi) {
-            be->sgd_momentum_update(hi - lo, lr_, momentum_, g + lo, vel + lo, w + lo);
+            for (size_t j = lo; j < hi; ++j) {
+              vel[j] = momentum_ * vel[j] - lr_ * g[j];
+              w[j] += vel[j];
+            }
           },
           detail::kElemGrain);
     } else {
       util::parallel_for_chunks(
           0, n,
-          [&](size_t lo, size_t hi) { be->sgd_update(hi - lo, lr_, g + lo, w + lo); },
+          [&](size_t lo, size_t hi) {
+            for (size_t j = lo; j < hi; ++j) w[j] -= lr_ * g[j];
+          },
           detail::kElemGrain);
     }
   }
@@ -70,7 +71,6 @@ void Adam::step(const std::vector<Param>& params) {
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const KernelBackend* be = &active_backend();
   for (size_t i = 0; i < params.size(); ++i) {
     double* w = params[i].value->data();
     const double* g = params[i].grad->data();
@@ -82,8 +82,13 @@ void Adam::step(const std::vector<Param>& params) {
     util::parallel_for_chunks(
         0, n,
         [&](size_t lo, size_t hi) {
-          be->adam_update(hi - lo, lr_, beta1_, beta2_, bc1, bc2, eps_, g + lo, m + lo,
-                          v + lo, w + lo);
+          for (size_t j = lo; j < hi; ++j) {
+            m[j] = beta1_ * m[j] + (1.0 - beta1_) * g[j];
+            v[j] = beta2_ * v[j] + (1.0 - beta2_) * g[j] * g[j];
+            const double mhat = m[j] / bc1;
+            const double vhat = v[j] / bc2;
+            w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+          }
         },
         detail::kElemGrain);
   }

@@ -21,9 +21,6 @@ std::vector<EpochStats> Trainer::fit(Sequential& model, Optimizer& optimizer,
 
   ExecutionContext local_ctx;
   ExecutionContext& ec = ctx != nullptr ? *ctx : local_ctx;
-  // Pin the context's backend for the whole fit so the loss and optimizer
-  // (which take no context) dispatch through the same kernels as the layers.
-  ScopedBackend backend_scope(ec.backend());
 
   math::Rng shuffle_rng(config_.shuffle_seed);
   DataLoader loader(train, config_.batch_size, shuffle_rng, /*shuffle=*/true);

@@ -1,8 +1,9 @@
 #pragma once
 /// \file parallel.hpp
-/// parallel_for abstraction: OpenMP when compiled in, otherwise the internal
-/// thread pool, otherwise serial. Grain-size aware so tiny loops stay serial
-/// (the PIC hot loops at paper scale are ~64k iterations; NN GEMMs dominate).
+/// parallel_for abstraction over the internal thread pool (serial when the
+/// width is 1 or the caller already runs on a pool worker). Grain-size
+/// aware so tiny loops stay serial (the PIC hot loops at paper scale are
+/// ~64k iterations; NN GEMMs dominate).
 ///
 /// The primary entry points are templates: the loop body is a template
 /// parameter, so dispatch costs one indirect call per *chunk* instead of a

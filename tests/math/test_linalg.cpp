@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "math/linalg.hpp"
@@ -96,17 +95,6 @@ TEST(Gemv, MatchesGemmColumn) {
     for (size_t j = 0; j < n; ++j) acc += A[i * n + j] * x[j];
     EXPECT_NEAR(y[i], 2.0 * acc + 0.5, 1e-10);
   }
-}
-
-TEST(Blas1, AxpyDotNrm2) {
-  std::vector<double> x = {1, 2, 3};
-  std::vector<double> y = {4, 5, 6};
-  axpy(3, 2.0, x.data(), y.data());
-  EXPECT_DOUBLE_EQ(y[0], 6);
-  EXPECT_DOUBLE_EQ(y[1], 9);
-  EXPECT_DOUBLE_EQ(y[2], 12);
-  EXPECT_DOUBLE_EQ(dot(3, x.data(), x.data()), 14.0);
-  EXPECT_NEAR(nrm2(3, x.data()), std::sqrt(14.0), 1e-14);
 }
 
 TEST(Transpose, RoundTripIsIdentity) {

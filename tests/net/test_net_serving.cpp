@@ -420,6 +420,81 @@ TEST(NetServingChaos, InjectedNetFaultsLoseNoPromises) {
   EXPECT_EQ(after.status, Status::kOk) << after.error;
 }
 
+// Regression: a client whose reader dies while the write side stays open
+// must not orphan a promise registered after the reader's failure sweep.
+// The peer lets a connection's submits start flowing, then answers with a
+// garbage frame header (so the reader fails with a ProtocolError) and keeps
+// draining requests (so every send succeeds), while several threads
+// pipeline submits on the client. Each submit must either throw or return
+// a future that resolves promptly, with the client still alive — no reader
+// is left to resolve a late one.
+TEST(NetClient, ReaderFailureWhilePipeliningLosesNoPromise) {
+  net::Listener listener(test_address("readfail"));
+  std::thread peer([&listener] {
+    for (size_t conn_index = 0;; ++conn_index) {
+      net::Socket conn;
+      try {
+        conn = listener.accept();
+      } catch (const net::SocketError&) {
+        continue;
+      }
+      if (!conn.valid()) return;  // stop()
+      try {
+        // Fail the reader only once submits are in flight: after a varying
+        // number of request bytes, so the failure lands at varying points
+        // of the submitters' loops.
+        uint8_t sink[4096];
+        if (!conn.recv_all(sink, 1 + (conn_index * 97) % 2048)) continue;
+        const std::vector<uint8_t> garbage(net::kFrameHeaderBytes, 0xFF);
+        conn.send_all(garbage.data(), garbage.size());
+        // Drain until the client hangs up (EOF mid-chunk throws below).
+        while (conn.recv_all(sink, sizeof sink)) {
+        }
+      } catch (const net::SocketError&) {
+        // client hung up mid-frame: next connection
+      }
+    }
+  });
+
+  const auto sample = make_samples(1, 23)[0];
+  constexpr size_t kRounds = 2000, kSubmitters = 4;
+  size_t lost = 0, submitted = 0;
+  try {
+    for (size_t round = 0; round < kRounds && lost == 0; ++round) {
+      Client client(listener.address());
+      std::mutex futures_mutex;
+      std::vector<std::future<NetResponse>> futures;
+      std::vector<std::thread> submitters;
+      for (size_t t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&] {
+          try {
+            while (true) {
+              auto future = client.submit_async("m", sample);
+              std::lock_guard<std::mutex> lock(futures_mutex);
+              futures.push_back(std::move(future));
+            }
+          } catch (const net::SocketError&) {
+            // the reader's failure reached this submitter: stop
+          }
+        });
+      }
+      for (auto& t : submitters) t.join();
+      // Every future must resolve while the client is alive: close() would
+      // fail a stranded promise and hide the loss.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      for (auto& f : futures) {
+        ++submitted;
+        if (f.wait_until(deadline) != std::future_status::ready) ++lost;
+      }
+    }
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "unexpected client failure: " << e.what();
+  }
+  listener.stop();
+  peer.join();
+  EXPECT_EQ(lost, 0u) << "lost promise(s) among " << submitted << " submits";
+}
+
 TEST(NetServing, MaxConnectionsSheddingRejectsTheOverflowConnection) {
   auto model = make_model(701);
   Router router(small_config(1));

@@ -37,7 +37,7 @@ current[DEN].METRIC must be >= MIN. Unlike the baseline comparison this is
 host-relative — both rows ran on the same machine in the same process — so it
 is stable on shared runners and suited to hard speedup contracts (e.g. the
 planned FFT must beat the legacy radix-2 it replaced:
---assert-ratio 'bench_fft_legacy_radix2/1024/1:bench_fft_rfft_planned/1024/1:real_time:1.5').
+--assert-ratio 'bench_fft_legacy_radix2/1024:bench_fft_rfft_planned/1024:real_time:1.5').
 A violated --assert-ratio exits 1 even under --warn-only; --warn-ratio prints
 a ::warning:: annotation instead. A gate whose rows are missing or skipped
 (e.g. the avx2 rows on a scalar-only host) reports a note and does not fail.
