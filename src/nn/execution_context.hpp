@@ -106,10 +106,10 @@ class Workspace {
 /// Execution state handed to Layer::forward/backward: workspace + worker
 /// policy + kernel backend. The worker cap (0 = inherit the global
 /// DLPIC_THREADS / set_max_workers width) and the backend (nullptr =
-/// inherit the DLPIC_BACKEND / ScopedBackend selection) are applied per
-/// layer call through thread-local RAII scopes, so contexts with different
-/// policies can run on different threads concurrently without touching
-/// process-global state.
+/// inherit the DLPIC_BACKEND / ScopedBackend selection; only the GEMM
+/// layers reach a backend kernel) are applied per layer call through
+/// thread-local RAII scopes, so contexts with different policies can run on
+/// different threads concurrently without touching process-global state.
 class ExecutionContext {
  public:
   explicit ExecutionContext(size_t worker_cap = 0,
