@@ -1,6 +1,7 @@
 /// \file bench_micro_nn.cpp
 /// Micro-benchmarks of the neural-network substrate (ablation A4): GEMM
-/// throughput, dense and conv layer forward/backward, end-to-end MLP
+/// throughput, dense and conv layer forward/backward (bench_dense_forward_f64
+/// is the paper MLP's first layer at batch 1-4), end-to-end MLP
 /// inference latency at ci and paper scales, and the ExecutionContext
 /// training step (forward + backward through reusable workspace tensors).
 /// The *_step benches take a second argument — the worker cap for the
@@ -116,6 +117,28 @@ void bench_dense_forward(benchmark::State& state) {
   // One forward GEMM: 2 * batch * in * out FLOPs.
   state.counters["GFLOPS"] =
       benchjson::gflops(2.0 * 64.0 * static_cast<double>(width) * width);
+}
+
+// The paper MLP's first layer (4096 -> 1024) at f64 for batch 1-4: below 4
+// rows the GEMM reads the weights in place, from 4 rows on it packs them.
+// Every weight is read once per forward, so weight bytes per second is the
+// figure to hold against the host's cache bandwidth. One worker, as in a
+// DL-PIC cycle.
+void bench_dense_forward_f64(benchmark::State& state) {
+  const size_t batch = static_cast<size_t>(state.range(0));
+  constexpr size_t kIn = 4096, kOut = 1024;
+  math::Rng rng(892);
+  nn::Dense layer(kIn, kOut, rng);
+  auto x = random_tensor({batch, kIn}, 7);
+  nn::ExecutionContext ctx(/*worker_cap=*/1);
+  for (auto _ : state) {
+    auto& y = layer.forward(ctx, x, false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  const double weights = static_cast<double>(kIn) * kOut;
+  state.counters["GFLOPS"] = benchjson::gflops(2.0 * static_cast<double>(batch) * weights);
+  state.counters["weight_GB_per_s"] = benchmark::Counter(
+      weights * sizeof(double) * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
 }
 
 void bench_dense_backward(benchmark::State& state) {
@@ -320,6 +343,7 @@ BENCHMARK(bench_gemm)  // {size, backend, precision (0=f64, 1=int8, 2=int16)}
     ->Args({512, 1, 2})
     ->Args({512, 2, 1});
 BENCHMARK(bench_dense_forward)->Arg(128)->Arg(1024);
+BENCHMARK(bench_dense_forward_f64)->DenseRange(1, 4);
 BENCHMARK(bench_dense_backward)->Arg(128)->Arg(1024);
 BENCHMARK(bench_conv_forward)->Arg(16)->Arg(32);
 BENCHMARK(bench_mlp_inference_ci);

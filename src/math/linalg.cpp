@@ -14,7 +14,8 @@ namespace dlpic::math {
 namespace {
 
 // Cache-blocking parameters tuned for typical L1/L2 sizes; the micro-kernel
-// (KernelBackend::gemm_block) updates register tiles inside these panels.
+// (KernelBackend::gemm_block, or gemm_block_bt on an unpacked B^T) updates
+// register tiles inside these panels.
 constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 64;
 constexpr size_t kBlockK = 256;
@@ -57,6 +58,10 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
   // Resolve the backend on the calling thread and capture it: chunk bodies
   // run on pool workers, where the thread-local selection is not in scope.
   const nn::KernelBackend* backend = &nn::active_backend();
+  // With fewer than 4 rows a transposed B is read in place: packing it
+  // would re-lay out the whole of B (a Dense layer's weights) per call for
+  // at most three uses of each element.
+  const bool b_in_place = trans_b && m < 4;
   util::parallel_for_chunks(0, m_blocks * n_blocks, [&](size_t tile_lo, size_t tile_hi) {
     // Per-thread pack buffers, reused across calls: the training hot loop
     // performs zero steady-state heap allocations.
@@ -79,9 +84,14 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
         for (size_t tt = t; tt < run_end; ++tt) {
           const size_t j0 = (tt % n_blocks) * kBlockN;
           const size_t nb = std::min(kBlockN, n - j0);
-          pack_block(trans_b, B, ldb, p0, j0, kb, nb, Bblk.data());
-          backend->gemm_block(mb, nb, kb, Ablk.data(), Bblk.data(), C + i0 * ldc + j0,
-                              ldc);
+          double* Cblk = C + i0 * ldc + j0;
+          if (b_in_place) {
+            backend->gemm_block_bt(mb, nb, kb, Ablk.data(), B + j0 * ldb + p0, ldb, Cblk,
+                                   ldc);
+          } else {
+            pack_block(trans_b, B, ldb, p0, j0, kb, nb, Bblk.data());
+            backend->gemm_block(mb, nb, kb, Ablk.data(), Bblk.data(), Cblk, ldc);
+          }
         }
       }
       t = run_end;

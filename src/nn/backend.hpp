@@ -1,8 +1,9 @@
 #pragma once
 /// \file backend.hpp
 /// Pluggable compute-kernel backend: one vtable of the hot inner loops that
-/// pay for a SIMD implementation — the f64 GEMM micro-kernel behind
-/// math::gemm (dense layers, im2col convolutions), the int8/int16 quantized
+/// pay for a SIMD implementation — the f64 GEMM micro-kernels behind
+/// math::gemm (dense layers, im2col convolutions; packed panels, or a
+/// transposed B read in place below 4 rows), the int8/int16 quantized
 /// GEMMs, and the PIC gather/stagger/leapfrog/deposit ranges. Everything
 /// else (activations, optimizer updates, the MSE body, bias adds, FFT
 /// butterflies) is a plain loop beside its one caller. Three
@@ -71,6 +72,19 @@ class KernelBackend {
   /// batch-size- and worker-count-invariant.
   virtual void gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
                           const double* Bpanel, double* C, size_t ldc) const = 0;
+
+  /// gemm_block with op(B) read in place instead of from a packed panel:
+  /// element (p, j) of the kb x nb block is Bt[j*ldb + p], i.e. row j of
+  /// B^T (a Dense weight row) holds column j contiguously. math::gemm uses
+  /// it for trans_b with fewer than 4 rows, where transposing B into a
+  /// panel would cost more than the product itself. Every output element
+  /// sees the same operations in the same order as in gemm_block — a sum
+  /// from 0 over ascending p (fused only on the columns j < (nb & ~3) that
+  /// gemm_block covers with vectors), then C += sum — so the two entries
+  /// are bitwise interchangeable within one backend.
+  virtual void gemm_block_bt(size_t mb, size_t nb, size_t kb, const double* Apanel,
+                             const double* Bt, size_t ldb, double* C,
+                             size_t ldc) const = 0;
 
   /// Quantized inner-product panel, OVERWRITING C (mb x nb, row stride ldc):
   ///   C[i,j] = (a_scales[i] * b_scales[j]) * sum_p Aq[i*kb+p] * Bq[j*kb+p]

@@ -245,6 +245,78 @@ inline int64_t dot_i16_avx2(const int16_t* a, const int16_t* b, size_t k) {
 }
 
 // ---------------------------------------------------------------------------
+// In-place B^T GEMM for a few rows (gemm_block_bt). B^T rows j.. hold output
+// columns contiguously in k, so four weight rows give a 4-column vector per
+// p only after a transpose: 2-wide loads at (p, p+1) from rows j..j+3, paired
+// by insertf128 into [r0 | r2] and [r1 | r3], split by unpacklo/hi into the
+// column vectors at p and p+1. Each transposed strip feeds every row of A.
+
+/// C[r][j .. j+4G) += sum_p A[r][p] * Bt[(j+c)*ldb + p] for R rows: 4G
+/// columns, R*G accumulators, one explicit FMA per p in ascending order from
+/// 0 — the packed gemm_block's per-element sequence.
+template <int R, int G>
+inline void bt_strip(size_t j, size_t kb, const double* const* a, const double* Bt,
+                     size_t ldb, double* const* c) {
+  __m256d acc[R][G];
+  for (int r = 0; r < R; ++r)
+    for (int g = 0; g < G; ++g) acc[r][g] = _mm256_setzero_pd();
+  const double* rows[4 * G];
+  for (int t = 0; t < 4 * G; ++t) rows[t] = Bt + (j + static_cast<size_t>(t)) * ldb;
+  size_t p = 0;
+  for (; p + 2 <= kb; p += 2) {
+    for (int g = 0; g < G; ++g) {
+      const double* const* q = rows + 4 * g;
+      const __m256d v02 = _mm256_insertf128_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(q[0] + p)), _mm_loadu_pd(q[2] + p), 1);
+      const __m256d v13 = _mm256_insertf128_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(q[1] + p)), _mm_loadu_pd(q[3] + p), 1);
+      const __m256d b0 = _mm256_unpacklo_pd(v02, v13);  // column values at p
+      const __m256d b1 = _mm256_unpackhi_pd(v02, v13);  // ... and at p + 1
+      for (int r = 0; r < R; ++r) {
+        acc[r][g] = _mm256_fmadd_pd(_mm256_broadcast_sd(a[r] + p), b0, acc[r][g]);
+        acc[r][g] = _mm256_fmadd_pd(_mm256_broadcast_sd(a[r] + p + 1), b1, acc[r][g]);
+      }
+    }
+  }
+  if (p < kb) {
+    for (int g = 0; g < G; ++g) {
+      const double* const* q = rows + 4 * g;
+      const __m256d b0 = _mm256_setr_pd(q[0][p], q[1][p], q[2][p], q[3][p]);
+      for (int r = 0; r < R; ++r)
+        acc[r][g] = _mm256_fmadd_pd(_mm256_broadcast_sd(a[r] + p), b0, acc[r][g]);
+    }
+  }
+  for (int r = 0; r < R; ++r)
+    for (int g = 0; g < G; ++g)
+      _mm256_storeu_pd(c[r] + j + 4 * g,
+                       _mm256_add_pd(_mm256_loadu_pd(c[r] + j + 4 * g), acc[r][g]));
+}
+
+/// R rows of gemm_block_bt: 16-column strips, then 4-column strips, then
+/// the scalar tail columns with gemm_block's unfused mul+add.
+template <int R>
+void bt_rows(size_t nb, size_t kb, const double* Apanel, const double* Bt, size_t ldb,
+             double* C, size_t ldc) {
+  const double* a[R];
+  double* c[R];
+  for (int r = 0; r < R; ++r) {
+    a[r] = Apanel + static_cast<size_t>(r) * kb;
+    c[r] = C + static_cast<size_t>(r) * ldc;
+  }
+  size_t j = 0;
+  for (; j + 16 <= nb; j += 16) bt_strip<R, 4>(j, kb, a, Bt, ldb, c);
+  for (; j + 4 <= nb; j += 4) bt_strip<R, 1>(j, kb, a, Bt, ldb, c);
+  for (; j < nb; ++j) {
+    const double* b = Bt + j * ldb;
+    for (int r = 0; r < R; ++r) {
+      double acc = 0;
+      for (size_t p = 0; p < kb; ++p) acc += a[r][p] * b[p];
+      c[r][j] += acc;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The backend.
 
 class Avx2Backend final : public ScalarBackend {
@@ -342,6 +414,16 @@ class Avx2Backend final : public ScalarBackend {
         C[i * ldc + j] += acc;
       }
     }
+  }
+
+  // Rows in groups of up to three: 3 rows x 4 column groups is 12
+  // accumulators, the most the 16 ymm registers hold beside the strip.
+  void gemm_block_bt(size_t mb, size_t nb, size_t kb, const double* Apanel,
+                     const double* Bt, size_t ldb, double* C, size_t ldc) const override {
+    size_t i = 0;
+    for (; i + 3 <= mb; i += 3) bt_rows<3>(nb, kb, Apanel + i * kb, Bt, ldb, C + i * ldc, ldc);
+    if (mb - i == 2) bt_rows<2>(nb, kb, Apanel + i * kb, Bt, ldb, C + i * ldc, ldc);
+    if (mb - i == 1) bt_rows<1>(nb, kb, Apanel + i * kb, Bt, ldb, C + i * ldc, ldc);
   }
 
   // 4-row x 2-column register tile over 32-wide k steps (8 int32

@@ -80,6 +80,11 @@ class Avx512VnniBackend final : public KernelBackend {
     base_.gemm_block(mb, nb, kb, Apanel, Bpanel, C, ldc);
   }
 
+  void gemm_block_bt(size_t mb, size_t nb, size_t kb, const double* Apanel,
+                     const double* Bt, size_t ldb, double* C, size_t ldc) const override {
+    base_.gemm_block_bt(mb, nb, kb, Apanel, Bt, ldb, C, ldc);
+  }
+
   // 4-row x 2-column register tile over 32-wide VNNI k steps (8 int32 ymm
   // accumulators + 2 B vectors + 1 A vector plus the abs/sign temporaries
   // live), mirroring the AVX2 kernel's tile so the only change is the inner

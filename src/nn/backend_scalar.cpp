@@ -57,6 +57,22 @@ void ScalarBackend::gemm_block(size_t mb, size_t nb, size_t kb, const double* Ap
   }
 }
 
+// Plain dot products against rows of B^T. Without FP contraction each
+// element is exactly gemm_block's: a sum from 0 over ascending p, then C +=.
+void ScalarBackend::gemm_block_bt(size_t mb, size_t nb, size_t kb, const double* Apanel,
+                                  const double* Bt, size_t ldb, double* C,
+                                  size_t ldc) const {
+  for (size_t i = 0; i < mb; ++i) {
+    const double* a = Apanel + i * kb;
+    for (size_t j = 0; j < nb; ++j) {
+      const double* b = Bt + j * ldb;
+      double acc = 0;
+      for (size_t p = 0; p < kb; ++p) acc += a[p] * b[p];
+      C[i * ldc + j] += acc;
+    }
+  }
+}
+
 // Reference int8 kernel: a plain widened dot per output element. The
 // accumulation is exact integer arithmetic, so the compiler is free to
 // vectorize this loop without changing a single bit of the result.

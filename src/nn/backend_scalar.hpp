@@ -75,6 +75,9 @@ class ScalarBackend : public KernelBackend {
   void gemm_block(size_t mb, size_t nb, size_t kb, const double* Apanel,
                   const double* Bpanel, double* C, size_t ldc) const override;
 
+  void gemm_block_bt(size_t mb, size_t nb, size_t kb, const double* Apanel,
+                     const double* Bt, size_t ldb, double* C, size_t ldc) const override;
+
   void gemm_int8(size_t mb, size_t nb, size_t kb, const int8_t* Aq,
                  const double* a_scales, const int8_t* Bq, const double* b_scales,
                  double* C, size_t ldc) const override;

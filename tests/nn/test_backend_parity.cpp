@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "math/linalg.hpp"
@@ -75,7 +76,7 @@ TEST(BackendSelection, Avx512NamedAndDelegatesF64Kernels) {
   SKIP_WITHOUT_AVX512();
   SKIP_WITHOUT_AVX2();
   EXPECT_STREQ(avx512->name(), "avx512");
-  // The VNNI backend overrides only gemm_int8: the f64 GEMM delegates to
+  // The VNNI backend overrides only gemm_int8: the f64 GEMMs delegate to
   // the AVX2 backend, so its panels are BITWISE the AVX2 results (same
   // code runs), not merely close.
   const size_t mb = 7, nb = 13, kb = 29;
@@ -85,6 +86,10 @@ TEST(BackendSelection, Avx512NamedAndDelegatesF64Kernels) {
   auto b = a;
   avx2->gemm_block(mb, nb, kb, A.data(), B.data(), a.data(), nb);
   avx512->gemm_block(mb, nb, kb, A.data(), B.data(), b.data(), nb);
+  EXPECT_EQ(a, b);
+  // Same for the in-place B^T entry (B read as nb rows of kb).
+  avx2->gemm_block_bt(mb, nb, kb, A.data(), B.data(), kb, a.data(), nb);
+  avx512->gemm_block_bt(mb, nb, kb, A.data(), B.data(), kb, b.data(), nb);
   EXPECT_EQ(a, b);
 }
 
@@ -137,6 +142,41 @@ TEST(BackendParity, GemmAllTransposeCombosWithinUlps) {
         // k * eps relative to the accumulated magnitude.
         const double tol = 1e-12 * (std::abs(Cs[i]) + 1.0);
         ASSERT_NEAR(Cs[i], Cv[i], tol) << "ta=" << ta << " tb=" << tb << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(BackendParity, TransposedBSmallMInPlaceEqualsPackedRows) {
+  // math::gemm reads a transposed B in place below 4 rows (gemm_block_bt)
+  // and packs it from 4 rows up (gemm_block). Within one backend each row
+  // must come out with the same bits either way, or a batch-1 Dense
+  // forward would differ from the same sample inside a larger batch. The
+  // sizes cover the 16- and 4-column strips, the scalar tail columns, odd
+  // k (the unpaired last p) and k across the 256-deep k-blocks.
+  std::vector<const nn::KernelBackend*> backends{&nn::scalar_backend()};
+  if (nn::avx2_backend() != nullptr) backends.push_back(nn::avx2_backend());
+  if (nn::avx512_backend() != nullptr) backends.push_back(nn::avx512_backend());
+  constexpr size_t kPackedRows = 5;
+  for (const nn::KernelBackend* be : backends) {
+    for (const size_t n : {1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 130}) {
+      for (const size_t k : {1, 2, 3, 255, 256, 257, 1000}) {
+        const auto A = random_vec(kPackedRows * k, 11 + k);
+        const auto Bt = random_vec(n * k, 12 + n);  // n rows of k: B^T
+        const auto C0 = random_vec(kPackedRows * n, 13);
+        for (const double alpha : {1.0, 1.3}) {
+          for (const double beta : {0.0, 0.7}) {
+            auto packed = C0;
+            gemm_with(be, false, true, kPackedRows, n, k, alpha, A, Bt, beta, packed);
+            for (const size_t m : {1, 2, 3}) {
+              std::vector<double> in_place(C0.begin(), C0.begin() + m * n);
+              gemm_with(be, false, true, m, n, k, alpha, A, Bt, beta, in_place);
+              ASSERT_EQ(std::memcmp(in_place.data(), packed.data(), m * n * sizeof(double)), 0)
+                  << be->name() << " m=" << m << " n=" << n << " k=" << k
+                  << " alpha=" << alpha << " beta=" << beta;
+            }
+          }
+        }
       }
     }
   }
