@@ -1,7 +1,7 @@
 /// \file bench_micro_nn.cpp
 /// Micro-benchmarks of the neural-network substrate (ablation A4): GEMM
 /// throughput, dense and conv layer forward/backward (bench_dense_forward_f64
-/// is the paper MLP's first layer at batch 1-4), end-to-end MLP
+/// is the paper MLP's first layer at batch 1-64), end-to-end MLP
 /// inference latency at ci and paper scales, and the ExecutionContext
 /// training step (forward + backward through reusable workspace tensors).
 /// The *_step benches take a second argument — the worker cap for the
@@ -119,8 +119,8 @@ void bench_dense_forward(benchmark::State& state) {
       benchjson::gflops(2.0 * 64.0 * static_cast<double>(width) * width);
 }
 
-// The paper MLP's first layer (4096 -> 1024) at f64 for batch 1-4: below 4
-// rows the GEMM reads the weights in place, from 4 rows on it packs them.
+// The paper MLP's first layer (4096 -> 1024) at f64 for batch 1-64: below 16
+// rows the GEMM reads the weights in place, from 16 rows on it packs them.
 // Every weight is read once per forward, so weight bytes per second is the
 // figure to hold against the host's cache bandwidth. One worker, as in a
 // DL-PIC cycle.
@@ -343,7 +343,7 @@ BENCHMARK(bench_gemm)  // {size, backend, precision (0=f64, 1=int8, 2=int16)}
     ->Args({512, 1, 2})
     ->Args({512, 2, 1});
 BENCHMARK(bench_dense_forward)->Arg(128)->Arg(1024);
-BENCHMARK(bench_dense_forward_f64)->DenseRange(1, 4);
+BENCHMARK(bench_dense_forward_f64)->DenseRange(1, 4)->Arg(8)->Arg(15)->Arg(16)->Arg(32)->Arg(64);
 BENCHMARK(bench_dense_backward)->Arg(128)->Arg(1024);
 BENCHMARK(bench_conv_forward)->Arg(16)->Arg(32);
 BENCHMARK(bench_mlp_inference_ci);

@@ -20,6 +20,15 @@ constexpr size_t kBlockM = 64;
 constexpr size_t kBlockN = 64;
 constexpr size_t kBlockK = 256;
 
+// Row blocks with fewer rows than this read a transposed B (a Dense layer's
+// weights in the forward pass) in place through gemm_block_bt; larger ones
+// pack it, which costs a strided gather per element but pays for itself over
+// enough rows. Measured on one core over Dense (4096/8192 -> 1024,
+// 1024 -> 1024) and Conv2D weight-gradient shapes: in place is faster up to
+// 15 rows on every shape (4x at 1-3 rows, 1.2-1.8x at 8-15), about even at
+// 16-24 and 15-40% slower from 32 rows on.
+constexpr size_t kInPlaceBtRows = 16;
+
 // Packs a (rows x cols) block of op(A) into contiguous row-major storage so
 // the inner kernel streams unit-stride regardless of transposition.
 void pack_block(bool trans, const double* src, size_t ld, size_t row0, size_t col0,
@@ -58,10 +67,6 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
   // Resolve the backend on the calling thread and capture it: chunk bodies
   // run on pool workers, where the thread-local selection is not in scope.
   const nn::KernelBackend* backend = &nn::active_backend();
-  // With fewer than 4 rows a transposed B is read in place: packing it
-  // would re-lay out the whole of B (a Dense layer's weights) per call for
-  // at most three uses of each element.
-  const bool b_in_place = trans_b && m < 4;
   util::parallel_for_chunks(0, m_blocks * n_blocks, [&](size_t tile_lo, size_t tile_hi) {
     // Per-thread pack buffers, reused across calls: the training hot loop
     // performs zero steady-state heap allocations.
@@ -85,7 +90,7 @@ void gemm(bool trans_a, bool trans_b, size_t m, size_t n, size_t k, double alpha
           const size_t j0 = (tt % n_blocks) * kBlockN;
           const size_t nb = std::min(kBlockN, n - j0);
           double* Cblk = C + i0 * ldc + j0;
-          if (b_in_place) {
+          if (trans_b && mb < kInPlaceBtRows) {
             backend->gemm_block_bt(mb, nb, kb, Ablk.data(), B + j0 * ldb + p0, ldb, Cblk,
                                    ldc);
           } else {

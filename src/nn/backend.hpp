@@ -3,7 +3,7 @@
 /// Pluggable compute-kernel backend: one vtable of the hot inner loops that
 /// pay for a SIMD implementation — the f64 GEMM micro-kernels behind
 /// math::gemm (dense layers, im2col convolutions; packed panels, or a
-/// transposed B read in place below 4 rows), the int8/int16 quantized
+/// transposed B read in place below 16 rows), the int8/int16 quantized
 /// GEMMs, and the PIC gather/stagger/leapfrog/deposit ranges. Everything
 /// else (activations, optimizer updates, the MSE body, bias adds, FFT
 /// butterflies) is a plain loop beside its one caller. Three
@@ -76,8 +76,9 @@ class KernelBackend {
   /// gemm_block with op(B) read in place instead of from a packed panel:
   /// element (p, j) of the kb x nb block is Bt[j*ldb + p], i.e. row j of
   /// B^T (a Dense weight row) holds column j contiguously. math::gemm uses
-  /// it for trans_b with fewer than 4 rows, where transposing B into a
-  /// panel would cost more than the product itself. Every output element
+  /// it for trans_b on row blocks of fewer than 16 rows, where transposing
+  /// B into a panel costs more than it saves (the measured crossover is in
+  /// linalg.cpp). Every output element
   /// sees the same operations in the same order as in gemm_block — a sum
   /// from 0 over ascending p (fused only on the columns j < (nb & ~3) that
   /// gemm_block covers with vectors), then C += sum — so the two entries

@@ -249,7 +249,7 @@ inline int64_t dot_i16_avx2(const int16_t* a, const int16_t* b, size_t k) {
 // columns contiguously in k, so four weight rows give a 4-column vector per
 // p only after a transpose: 2-wide loads at (p, p+1) from rows j..j+3, paired
 // by insertf128 into [r0 | r2] and [r1 | r3], split by unpacklo/hi into the
-// column vectors at p and p+1. Each transposed strip feeds every row of A.
+// column vectors at p and p+1. Each transposed strip feeds up to three rows of A.
 
 /// C[r][j .. j+4G) += sum_p A[r][p] * Bt[(j+c)*ldb + p] for R rows: 4G
 /// columns, R*G accumulators, one explicit FMA per p in ascending order from

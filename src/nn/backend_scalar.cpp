@@ -57,20 +57,39 @@ void ScalarBackend::gemm_block(size_t mb, size_t nb, size_t kb, const double* Ap
   }
 }
 
-// Plain dot products against rows of B^T. Without FP contraction each
-// element is exactly gemm_block's: a sum from 0 over ascending p, then C +=.
+namespace {
+
+// One R x Q tile of gemm_block_bt: R*Q independent sums, so the dots overlap
+// instead of waiting on one add chain. Without FP contraction each element is
+// exactly gemm_block's: a sum from 0 over ascending p, then C +=.
+template <size_t R, size_t Q>
+void bt_tile(size_t kb, const double* Apanel, const double* Bt, size_t ldb, double* C,
+             size_t ldc) {
+  double acc[R][Q] = {};
+  for (size_t p = 0; p < kb; ++p)
+    for (size_t r = 0; r < R; ++r)
+      for (size_t q = 0; q < Q; ++q) acc[r][q] += Apanel[r * kb + p] * Bt[q * ldb + p];
+  for (size_t r = 0; r < R; ++r)
+    for (size_t q = 0; q < Q; ++q) C[r * ldc + q] += acc[r][q];
+}
+
+template <size_t R>
+void bt_rows(size_t nb, size_t kb, const double* Apanel, const double* Bt, size_t ldb,
+             double* C, size_t ldc) {
+  size_t j = 0;
+  for (; j + 4 <= nb; j += 4) bt_tile<R, 4>(kb, Apanel, Bt + j * ldb, ldb, C + j, ldc);
+  for (; j < nb; ++j) bt_tile<R, 1>(kb, Apanel, Bt + j * ldb, ldb, C + j, ldc);
+}
+
+}  // namespace
+
+// 4 x 4 tiles like gemm_block, read against rows of B^T.
 void ScalarBackend::gemm_block_bt(size_t mb, size_t nb, size_t kb, const double* Apanel,
                                   const double* Bt, size_t ldb, double* C,
                                   size_t ldc) const {
-  for (size_t i = 0; i < mb; ++i) {
-    const double* a = Apanel + i * kb;
-    for (size_t j = 0; j < nb; ++j) {
-      const double* b = Bt + j * ldb;
-      double acc = 0;
-      for (size_t p = 0; p < kb; ++p) acc += a[p] * b[p];
-      C[i * ldc + j] += acc;
-    }
-  }
+  size_t i = 0;
+  for (; i + 4 <= mb; i += 4) bt_rows<4>(nb, kb, Apanel + i * kb, Bt, ldb, C + i * ldc, ldc);
+  for (; i < mb; ++i) bt_rows<1>(nb, kb, Apanel + i * kb, Bt, ldb, C + i * ldc, ldc);
 }
 
 // Reference int8 kernel: a plain widened dot per output element. The

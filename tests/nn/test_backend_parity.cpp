@@ -148,16 +148,18 @@ TEST(BackendParity, GemmAllTransposeCombosWithinUlps) {
 }
 
 TEST(BackendParity, TransposedBSmallMInPlaceEqualsPackedRows) {
-  // math::gemm reads a transposed B in place below 4 rows (gemm_block_bt)
-  // and packs it from 4 rows up (gemm_block). Within one backend each row
+  // math::gemm reads a transposed B in place below 16 rows (gemm_block_bt)
+  // and packs it from 16 rows up (gemm_block). Within one backend each row
   // must come out with the same bits either way, or a batch-1 Dense
   // forward would differ from the same sample inside a larger batch. The
-  // sizes cover the 16- and 4-column strips, the scalar tail columns, odd
-  // k (the unpaired last p) and k across the 256-deep k-blocks.
+  // row counts cover the AVX2 3-row groups and the scalar 4-row tiles with
+  // every remainder; the sizes cover the 16- and 4-column strips, the
+  // scalar tail columns, odd k (the unpaired last p) and k across the
+  // 256-deep k-blocks.
   std::vector<const nn::KernelBackend*> backends{&nn::scalar_backend()};
   if (nn::avx2_backend() != nullptr) backends.push_back(nn::avx2_backend());
   if (nn::avx512_backend() != nullptr) backends.push_back(nn::avx512_backend());
-  constexpr size_t kPackedRows = 5;
+  constexpr size_t kPackedRows = 16;
   for (const nn::KernelBackend* be : backends) {
     for (const size_t n : {1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 130}) {
       for (const size_t k : {1, 2, 3, 255, 256, 257, 1000}) {
@@ -168,7 +170,7 @@ TEST(BackendParity, TransposedBSmallMInPlaceEqualsPackedRows) {
           for (const double beta : {0.0, 0.7}) {
             auto packed = C0;
             gemm_with(be, false, true, kPackedRows, n, k, alpha, A, Bt, beta, packed);
-            for (const size_t m : {1, 2, 3}) {
+            for (const size_t m : {1, 2, 3, 4, 5, 6, 7, 15}) {
               std::vector<double> in_place(C0.begin(), C0.begin() + m * n);
               gemm_with(be, false, true, m, n, k, alpha, A, Bt, beta, in_place);
               ASSERT_EQ(std::memcmp(in_place.data(), packed.data(), m * n * sizeof(double)), 0)
