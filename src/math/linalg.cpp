@@ -38,8 +38,17 @@ void pack_block(bool trans, const double* src, size_t ld, size_t row0, size_t co
       std::memcpy(dst + i * cols, src + (row0 + i) * ld + col0, cols * sizeof(double));
   } else {
     // Logical element (row0+i, col0+j) lives at src[(col0+j)*ld + (row0+i)].
-    for (size_t i = 0; i < rows; ++i)
-      for (size_t j = 0; j < cols; ++j) dst[i * cols + j] = src[(col0 + j) * ld + (row0 + i)];
+    // Transposed in kTile x kTile tiles, so reads and writes both run in
+    // contiguous segments of kTile doubles instead of striding ld per read.
+    constexpr size_t kTile = 16;
+    for (size_t i0 = 0; i0 < rows; i0 += kTile) {
+      const size_t i1 = std::min(rows, i0 + kTile);
+      for (size_t j0 = 0; j0 < cols; j0 += kTile) {
+        const size_t j1 = std::min(cols, j0 + kTile);
+        for (size_t i = i0; i < i1; ++i)
+          for (size_t j = j0; j < j1; ++j) dst[i * cols + j] = src[(col0 + j) * ld + row0 + i];
+      }
+    }
   }
 }
 

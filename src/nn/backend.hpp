@@ -126,7 +126,9 @@ class KernelBackend {
   using PicStaggerFn = void (*)(const double* E, const double* x, double* v, size_t lo,
                                 size_t hi, double inv_dx, long ncells, double qm_half_dt);
   /// Fused kick+drift: v[p] += qm_dt*gather(x[p]); x[p] = wrap(x[p]+v[p]*dt)
-  /// into [0, length) with the Grid1D::wrap_position fmod formula.
+  /// into [0, length). The wrap equals the formula y = fmod(x, L); if (y < 0)
+  /// y += L; if (y >= L) y -= L; bit for bit (pic::wrap_periodic), and fmod
+  /// runs only for positions outside (-L, 2L).
   using PicLeapfrogFn = void (*)(const double* E, double* x, double* v, size_t lo,
                                  size_t hi, double inv_dx, long ncells, double qm_dt,
                                  double dt, double length);

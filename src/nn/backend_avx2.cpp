@@ -120,6 +120,26 @@ void stagger_range_avx2(const double* E, const double* x, double* v, size_t lo,
   backend_detail::stagger_range<S>(E, x, v, p, hi, inv_dx, ncells, qm_half_dt);
 }
 
+/// pic::wrap_periodic on four lanes when every lane lies in (-L, 2L), where
+/// it is one exact add or subtract: x on [0, L), x - L on [L, 2L), x + L on
+/// (-L, 0) with the >= L fix-up. Returns false, leaving `out` unset, when a
+/// lane is -L, NaN, inf or further out; the caller then wraps the quad with
+/// the scalar function, whose fmod covers those lanes.
+inline bool wrap_periodic_near(__m256d x, __m256d len, __m256d& out) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d up = _mm256_sub_pd(x, len);
+  // x > -L, and x - L < L (false for x >= 2L without forming 2L); both
+  // compares are false on NaN.
+  const __m256d near = _mm256_and_pd(_mm256_cmp_pd(x, _mm256_sub_pd(zero, len), _CMP_GT_OQ),
+                                     _mm256_cmp_pd(up, len, _CMP_LT_OQ));
+  if (_mm256_movemask_pd(near) != 0xF) return false;
+  __m256d dn = _mm256_add_pd(x, len);
+  dn = _mm256_blendv_pd(dn, _mm256_sub_pd(dn, len), _mm256_cmp_pd(dn, len, _CMP_GE_OQ));
+  const __m256d y = _mm256_blendv_pd(x, up, _mm256_cmp_pd(x, len, _CMP_GE_OQ));
+  out = _mm256_blendv_pd(y, dn, _mm256_cmp_pd(x, zero, _CMP_LT_OQ));
+  return true;
+}
+
 template <class St, pic::Shape S>
 void leapfrog_range_avx2(const double* E, double* x, double* v, size_t lo, size_t hi,
                          double inv_dx, long ncells, double qm_dt, double dt,
@@ -128,6 +148,7 @@ void leapfrog_range_avx2(const double* E, double* x, double* v, size_t lo, size_
   const __m256d vinv = _mm256_set1_pd(inv_dx);
   const __m256d vqm = _mm256_set1_pd(qm_dt);
   const __m256d vdt = _mm256_set1_pd(dt);
+  const __m256d vlen = _mm256_set1_pd(length);
   size_t p = lo;
   for (; p + 4 <= hi; p += 4) {
     const __m256d xv = _mm256_loadu_pd(x + p);
@@ -135,14 +156,15 @@ void leapfrog_range_avx2(const double* E, double* x, double* v, size_t lo, size_
     const __m256d Ep = gather_stencil(E, St(xi, n));
     const __m256d vn = _mm256_add_pd(_mm256_loadu_pd(v + p), _mm256_mul_pd(vqm, Ep));
     _mm256_storeu_pd(v + p, vn);
-    // Drift, then the scalar fmod wrap per lane (fmod has no vector form;
-    // keeping it scalar keeps the result bitwise equal to the scalar path).
-    alignas(32) double xn[4];
-    _mm256_store_pd(xn, _mm256_add_pd(xv, _mm256_mul_pd(vn, vdt)));
-    x[p + 0] = backend_detail::wrap_position(xn[0], length);
-    x[p + 1] = backend_detail::wrap_position(xn[1], length);
-    x[p + 2] = backend_detail::wrap_position(xn[2], length);
-    x[p + 3] = backend_detail::wrap_position(xn[3], length);
+    const __m256d xn = _mm256_add_pd(xv, _mm256_mul_pd(vn, vdt));
+    __m256d wrapped;
+    if (wrap_periodic_near(xn, vlen, wrapped)) {
+      _mm256_storeu_pd(x + p, wrapped);
+    } else {
+      alignas(32) double xs[4];
+      _mm256_store_pd(xs, xn);
+      for (int lane = 0; lane < 4; ++lane) x[p + lane] = pic::wrap_periodic(xs[lane], length);
+    }
   }
   backend_detail::leapfrog_range<S>(E, x, v, p, hi, inv_dx, ncells, qm_dt, dt, length);
 }

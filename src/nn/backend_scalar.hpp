@@ -9,7 +9,6 @@
 /// Only backend implementation files include this header; everything else
 /// goes through the KernelBackend interface in backend.hpp.
 
-#include <cmath>
 #include <cstddef>
 
 #include "nn/backend.hpp"
@@ -18,16 +17,6 @@
 namespace dlpic::nn {
 
 namespace backend_detail {
-
-/// Periodic wrap of a pushed position into [0, L): the exact
-/// pic::Grid1D::wrap_position formula, inlined so the fused leapfrog kernel
-/// needs no Grid reference. Both backends use this same scalar formula.
-inline double wrap_position(double x, double length) {
-  double y = std::fmod(x, length);
-  if (y < 0.0) y += length;
-  if (y >= length) y -= length;
-  return y;
-}
 
 template <pic::Shape S>
 void gather_range(const double* E, const double* x, double* out, size_t lo, size_t hi,
@@ -49,7 +38,7 @@ void leapfrog_range(const double* E, double* x, double* v, size_t lo, size_t hi,
   for (size_t p = lo; p < hi; ++p) {
     const double Ep = pic::gather_at<S>(E, x[p] * inv_dx, ncells);
     v[p] += qm_dt * Ep;
-    x[p] = wrap_position(x[p] + v[p] * dt, length);
+    x[p] = pic::wrap_periodic(x[p] + v[p] * dt, length);
   }
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "pic/grid.hpp"
+
 namespace dlpic::phase_space {
 
 PhaseSpaceBinner::PhaseSpaceBinner(const BinnerConfig& config) : config_(config) {
@@ -45,14 +47,9 @@ void PhaseSpaceBinner::accumulate(std::span<const double> x, std::span<const dou
   const double inv_dv = 1.0 / dv_bin_;
 
   for (size_t p = 0; p < x.size(); ++p) {
-    // Periodic wrap in x. The mover already wraps into [0, L), and fmod is
-    // exact there, so only out-of-box (and NaN) positions pay for it.
-    double xp = x[p];
-    if (!(xp >= 0.0 && xp < config_.length)) {
-      xp = std::fmod(xp, config_.length);
-      if (xp < 0.0) xp += config_.length;
-      if (xp >= config_.length) xp -= config_.length;
-    }
+    // Periodic wrap in x; the mover already wrapped, so this is the
+    // in-box fast path of wrap_periodic.
+    const double xp = pic::wrap_periodic(x[p], config_.length);
     // Clamp in v (velocity axis is not periodic).
     double vp = v[p];
     if (vp < config_.vmin || vp > config_.vmax) {

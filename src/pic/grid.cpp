@@ -1,6 +1,5 @@
 #include "pic/grid.hpp"
 
-#include <cmath>
 #include <numbers>
 #include <stdexcept>
 
@@ -10,14 +9,6 @@ Grid1D::Grid1D(size_t ncells, double length) : ncells_(ncells), length_(length) 
   if (ncells < 2) throw std::invalid_argument("Grid1D: ncells must be >= 2");
   if (!(length > 0.0)) throw std::invalid_argument("Grid1D: length must be positive");
   dx_ = length / static_cast<double>(ncells);
-}
-
-double Grid1D::wrap_position(double x) const {
-  double y = std::fmod(x, length_);
-  if (y < 0.0) y += length_;
-  // fmod can return length_ for x just below 0 due to rounding.
-  if (y >= length_) y -= length_;
-  return y;
 }
 
 double Grid1D::mode_wavenumber(size_t m) const {

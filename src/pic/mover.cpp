@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "nn/backend.hpp"
-#include "pic/gather.hpp"
 #include "util/parallel.hpp"
 
 namespace dlpic::pic {
@@ -13,31 +12,6 @@ namespace {
 constexpr size_t kMoverGrain = 8192;
 
 }  // namespace
-
-void push_velocities(Species& species, const std::vector<double>& E_particles, double dt) {
-  if (E_particles.size() != species.size())
-    throw std::invalid_argument("push_velocities: field array size mismatch");
-  const double qm_dt = species.charge_over_mass() * dt;
-  double* v = species.v().data();
-  const double* Ep = E_particles.data();
-  util::parallel_for_chunks(
-      0, species.size(),
-      [&](size_t lo, size_t hi) {
-        for (size_t p = lo; p < hi; ++p) v[p] += qm_dt * Ep[p];
-      },
-      kMoverGrain);
-}
-
-void push_positions(const Grid1D& grid, Species& species, double dt) {
-  double* x = species.x().data();
-  const double* v = species.v().data();
-  util::parallel_for_chunks(
-      0, species.size(),
-      [&](size_t lo, size_t hi) {
-        for (size_t p = lo; p < hi; ++p) x[p] = grid.wrap_position(x[p] + v[p] * dt);
-      },
-      kMoverGrain);
-}
 
 void leapfrog_step(const Grid1D& grid, Shape shape, const std::vector<double>& E,
                    Species& species, double dt) {

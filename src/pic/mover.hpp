@@ -13,12 +13,6 @@
 
 namespace dlpic::pic {
 
-/// Advances velocities by a full step given the per-particle field.
-void push_velocities(Species& species, const std::vector<double>& E_particles, double dt);
-
-/// Advances positions by a full step and wraps them into the box.
-void push_positions(const Grid1D& grid, Species& species, double dt);
-
 /// One combined kick-drift step: gather E at x^n, kick v, drift x.
 void leapfrog_step(const Grid1D& grid, Shape shape, const std::vector<double>& E,
                    Species& species, double dt);

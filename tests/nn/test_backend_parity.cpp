@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "math/linalg.hpp"
@@ -24,6 +28,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/quantize.hpp"
 #include "nn/sequential.hpp"
+#include "phase_space/binner.hpp"
 #include "pic/deposit.hpp"
 #include "pic/gather.hpp"
 #include "pic/loader.hpp"
@@ -353,6 +358,143 @@ TEST(BackendParity, PicGatherLeapfrogDepositBitwisePerShape) {
     EXPECT_EQ(std::get<1>(scalar), std::get<1>(vec)) << pic::shape_name(shape);
     EXPECT_EQ(std::get<2>(scalar), std::get<2>(vec)) << pic::shape_name(shape);
     EXPECT_EQ(std::get<3>(scalar), std::get<3>(vec)) << pic::shape_name(shape);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Periodic wrap. Every position wrap (both leapfrog kernels, Grid1D and the
+// binner) must return bit for bit what the literal fmod formula returns,
+// including the edges where its exact fast path hands over to fmod.
+
+double fmod_wrap(double x, double length) {
+  double y = std::fmod(x, length);
+  if (y < 0.0) y += length;
+  if (y >= length) y -= length;
+  return y;
+}
+
+std::vector<uint64_t> bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out(v.size());
+  for (size_t i = 0; i < v.size(); ++i) out[i] = std::bit_cast<uint64_t>(v[i]);
+  return out;
+}
+
+std::vector<double> wrap_edge_values(double L) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double below_L = std::nextafter(L, 0.0);
+  const double two_L = 2.0 * L;  // inf when L is near DBL_MAX
+  return {std::nextafter(-L, -inf), -L, std::nextafter(-L, 0.0), -0.5 * L,
+          -0.0, 0.0,
+          -0.25 * (L - below_L),  // x + L rounds to L
+          -std::numeric_limits<double>::denorm_min(),
+          0.5 * L, below_L, L, std::nextafter(L, inf), 1.5 * L,
+          std::nextafter(two_L, 0.0), two_L, std::nextafter(two_L, inf),
+          1e3 * L, -1e3 * L,
+          std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+}
+
+/// Particles whose drift (x = -0.0, v = target, dt = 1, zero field, q/m < 0
+/// so the kick adds -0.0) lands exactly on `target`: each edge value fills
+/// one quad on its own and one mixed with in-box, below-box and above-box
+/// lanes, and the first three repeat as a scalar tail.
+std::vector<double> wrap_targets(double L) {
+  const auto edges = wrap_edge_values(L);
+  std::vector<double> t;
+  for (const double e : edges) t.insert(t.end(), {e, e, e, e, e, 0.3 * L, -0.3 * L, 1.3 * L});
+  t.insert(t.end(), edges.begin(), edges.begin() + 3);
+  return t;
+}
+
+TEST(BackendParity, LeapfrogWrapMatchesFmodFormulaAtEdges) {
+  std::vector<const nn::KernelBackend*> backends{&nn::scalar_backend()};
+  if (const nn::KernelBackend* avx2 = nn::avx2_backend()) backends.push_back(avx2);
+  for (const double L : {2.0534, 0.75 * DBL_MAX}) {
+    const pic::Grid1D grid(64, L);
+    const auto targets = wrap_targets(L);
+    std::vector<double> expected(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) expected[i] = fmod_wrap(targets[i], L);
+
+    std::vector<double> via_grid(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) via_grid[i] = grid.wrap_position(targets[i]);
+    EXPECT_EQ(bits(expected), bits(via_grid)) << "Grid1D::wrap_position, L = " << L;
+
+    const std::vector<double> E(64, 0.0);
+    for (const nn::KernelBackend* be : backends) {
+      for (const auto shape : {pic::Shape::NGP, pic::Shape::CIC, pic::Shape::TSC}) {
+        nn::ScopedBackend scope(be);
+        pic::Species species("e", -1.0, 1.0);
+        for (const double t : targets) species.add(-0.0, t);
+        pic::leapfrog_step(grid, shape, E, species, 1.0);
+        EXPECT_EQ(bits(expected), bits(species.x()))
+            << be->name() << " " << pic::shape_name(shape) << ", L = " << L;
+      }
+    }
+
+    // The binner wraps raw positions itself: each finite target lands in the
+    // bin of its wrapped value.
+    phase_space::BinnerConfig cfg;
+    cfg.length = L;
+    cfg.order = phase_space::BinningOrder::NGP;
+    const phase_space::PhaseSpaceBinner binner(cfg);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      if (!std::isfinite(targets[i])) continue;
+      EXPECT_EQ(binner.bin({targets[i]}, {0.0}), binner.bin({expected[i]}, {0.0}))
+          << "binner at x = " << targets[i] << ", L = " << L;
+    }
+  }
+}
+
+TEST(BackendParity, LeapfrogBoundaryCrossingsBitwiseUnderAlternatingField) {
+  std::vector<const nn::KernelBackend*> backends{&nn::scalar_backend()};
+  if (const nn::KernelBackend* avx2 = nn::avx2_backend()) backends.push_back(avx2);
+  constexpr int kSteps = 300;
+  for (const double L : {2.0534, 0.75 * DBL_MAX}) {
+    const pic::Grid1D grid(64, L);
+    // dt = 1 and q/m = -1 keep every product exact, so the NGP reference
+    // below is the kernel's arithmetic whatever the compiler contracts.
+    // A uniform field of alternating sign flips every velocity between
+    // (0, 0.3L) and (-0.3L, 0): |v| stays small enough not to overflow near
+    // DBL_MAX, and particles cross both boundaries on most steps.
+    const double E0 = 0.3 * L;
+    math::Rng rng(11);
+    std::vector<double> x0(4006), v0(4006);  // not a multiple of 4: vector tail
+    for (auto& x : x0) x = rng.uniform(0.0, 1.0) * L;
+    for (auto& v : v0) v = rng.uniform(0.0, 0.3) * L;
+    const auto field = [&](int step) { return std::vector<double>(64, step % 2 ? -E0 : E0); };
+
+    std::vector<double> x_ref = x0, v_ref = v0;
+    size_t left = 0, right = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      const double Ep = field(step)[0];
+      for (size_t p = 0; p < x_ref.size(); ++p) {
+        v_ref[p] += -1.0 * Ep;
+        const double drifted = x_ref[p] + v_ref[p] * 1.0;
+        left += drifted < 0.0;
+        right += drifted >= L;
+        x_ref[p] = fmod_wrap(drifted, L);
+      }
+    }
+    EXPECT_GT(left, 50'000u) << "L = " << L;
+    EXPECT_GT(right, 50'000u) << "L = " << L;
+
+    for (const auto shape : {pic::Shape::NGP, pic::Shape::CIC, pic::Shape::TSC}) {
+      std::vector<std::vector<double>> xs;
+      for (const nn::KernelBackend* be : backends) {
+        nn::ScopedBackend scope(be);
+        pic::Species species("e", -1.0, 1.0);
+        for (size_t p = 0; p < x0.size(); ++p) species.add(x0[p], v0[p]);
+        for (int step = 0; step < kSteps; ++step)
+          pic::leapfrog_step(grid, shape, field(step), species, 1.0);
+        if (shape == pic::Shape::NGP) {
+          EXPECT_EQ(bits(x_ref), bits(species.x())) << be->name() << ", L = " << L;
+          EXPECT_EQ(bits(v_ref), bits(species.v())) << be->name() << ", L = " << L;
+        }
+        xs.push_back(species.x());
+      }
+      for (size_t b = 1; b < xs.size(); ++b)
+        EXPECT_EQ(bits(xs[0]), bits(xs[b]))
+            << backends[b]->name() << " " << pic::shape_name(shape) << ", L = " << L;
+    }
   }
 }
 

@@ -21,32 +21,6 @@ TEST(Mover, FreeStreamingAdvancesPositions) {
   EXPECT_DOUBLE_EQ(s.v()[0], 0.5);  // no field, no kick
 }
 
-TEST(Mover, ConstantFieldKickMatchesAnalytic) {
-  Grid1D g(16, 4.0);
-  Species s("e", -2.0, 1.0);  // q/m = -2
-  s.add(2.0, 0.0);
-  std::vector<double> E(16, 0.5);
-  push_velocities(s, std::vector<double>(1, 0.5), 0.1);
-  // dv = q/m * E * dt = -2 * 0.5 * 0.1 = -0.1
-  EXPECT_NEAR(s.v()[0], -0.1, 1e-14);
-}
-
-TEST(Mover, PushPositionsWrapsBox) {
-  Grid1D g(8, 1.0);
-  Species s("e", -1.0, 1.0);
-  s.add(0.95, 1.0);
-  s.add(0.05, -1.0);
-  push_positions(g, s, 0.1);
-  EXPECT_NEAR(s.x()[0], 0.05, 1e-12);
-  EXPECT_NEAR(s.x()[1], 0.95, 1e-12);
-}
-
-TEST(Mover, MismatchedFieldArrayThrows) {
-  Species s("e", -1.0, 1.0);
-  s.add(0.0, 0.0);
-  EXPECT_THROW(push_velocities(s, {}, 0.1), std::invalid_argument);
-}
-
 TEST(Mover, StaggerRewindsHalfStep) {
   Grid1D g(16, 4.0);
   Species s("e", -1.0, 1.0);  // q/m = -1
